@@ -14,9 +14,9 @@ from .core import (
     ComparisonOutcome,
     ComparisonSet,
     Dataset,
+    Estimate,
     LabeledReference,
     ReferenceSet,
-    RegressorEstimate,
     SplitSpec,
     beta,
     load_dataset_csv,
@@ -63,6 +63,7 @@ from .rankers import (
     interactive_rank,
     llm_rank_batch,
     load_comparisons_csv,
+    make_oracle_ranker,
     oracle_compare,
     save_comparisons_csv,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "ComparisonSet",
     "Dataset",
     "DataError",
+    "Estimate",
     "FeasibleInterval",
     "ForestConfig",
     "FusedEstimate",
@@ -93,7 +95,6 @@ __all__ = [
     "RankEstimate",
     "RankRefineError",
     "ReferenceSet",
-    "RegressorEstimate",
     "ReplayTransport",
     "SolverConfig",
     "SplitSpec",
@@ -116,6 +117,7 @@ __all__ = [
     "load_references_csv",
     "mae",
     "mae_of_sigma",
+    "make_oracle_ranker",
     "make_synthetic_dataset",
     "oracle_compare",
     "pra",

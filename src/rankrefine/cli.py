@@ -9,21 +9,26 @@ arguments, 3 malformed data, 4 numeric failure, 5 network trouble.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
-import math
 import os
 import sys
 from collections import deque
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     ComparisonOutcome,
     Dataset,
+    Estimate,
+    LabeledReference,
+    ReferenceSet,
     load_dataset_csv,
     load_references_csv,
     pra,
+    read_table,
     save_dataset_csv,
+    write_table,
 )
 from .errors import DataError, NumericError, TransportError, ValidationError
 from .experiments import (
@@ -100,99 +105,49 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise ValidationError(f"cannot parse {what} {text!r}") from exc
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _load_table(path: str | Path) -> tuple[list[str], dict[str, str], dict[str, float]]:
+def _load_table(
+    path: str | Path, required: tuple[str, ...] = ("id",)
+) -> tuple[list[str], dict[str, str], dict[str, float]]:
     """Read any CSV with an ``id`` column; returns (ids, texts, labels).
 
     ``texts`` has entries only when a ``text`` column exists, ``labels``
     only when a ``y`` column exists.
     """
-    path = Path(path)
-    try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file, expected a header row")
-    header = [cell.strip() for cell in rows[0]]
-    if "id" not in header:
-        raise DataError(f"{path}: missing required column 'id'")
-    id_pos = header.index("id")
-    text_pos = header.index("text") if "text" in header else None
-    y_pos = header.index("y") if "y" in header else None
+    _, rows = read_table(path, required, numeric=("y",), key="id")
     ids: list[str] = []
     texts: dict[str, str] = {}
     labels: dict[str, float] = {}
-    for offset, row in enumerate(rows[1:]):
-        row_num = offset + 2
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
-            )
-        qid = row[id_pos].strip()
+    for _, cells in rows:
+        qid = cells["id"]
         ids.append(qid)
-        if text_pos is not None:
-            texts[qid] = row[text_pos]
-        if y_pos is not None:
-            try:
-                y = float(row[y_pos])
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: row {row_num}: cannot parse y value {row[y_pos]!r}"
-                ) from exc
-            if not math.isfinite(y):
-                raise DataError(f"{path}: row {row_num}: non-finite y value")
-            labels[qid] = y
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate ids")
+        if "text" in cells:
+            texts[qid] = cells["text"]
+        if "y" in cells:
+            labels[qid] = cells["y"]
     if not ids:
         raise DataError(f"{path}: no data rows")
     return ids, texts, labels
 
 
-def _load_predictions(path: str | Path) -> list[tuple[str, float, float]]:
-    path = Path(path)
-    try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file, expected a header row")
-    header = [cell.strip() for cell in rows[0]]
-    for required in ("id", "y_reg", "var_reg"):
-        if required not in header:
-            raise DataError(f"{path}: missing required column {required!r}")
-    id_pos, y_pos, var_pos = (header.index(c) for c in ("id", "y_reg", "var_reg"))
-    out: list[tuple[str, float, float]] = []
-    seen: set[str] = set()
-    for offset, row in enumerate(rows[1:]):
-        row_num = offset + 2
-        if len(row) != len(header):
+def _load_predictions(path: str | Path) -> tuple[list[str], Estimate]:
+    """Read ``id,y_reg,var_reg`` rows; returns the ids and their estimates as arrays."""
+    columns = ("id", "y_reg", "var_reg")
+    _, rows = read_table(path, columns, numeric=columns[1:], key="id")
+    ids: list[str] = []
+    values: list[float] = []
+    variances: list[float] = []
+    for line, cells in rows:
+        if cells["var_reg"] <= 0:
             raise DataError(
-                f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
+                f"{path}: row {line}, column 'var_reg': var_reg must be positive, "
+                f"got {cells['var_reg']!r}"
             )
-        pid = row[id_pos].strip()
-        if pid in seen:
-            raise DataError(f"{path}: duplicate prediction id {pid!r}")
-        seen.add(pid)
-        try:
-            y_reg = float(row[y_pos])
-            var_reg = float(row[var_pos])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {row_num}: cannot parse prediction values") from exc
-        if not (math.isfinite(y_reg) and math.isfinite(var_reg)):
-            raise DataError(f"{path}: row {row_num}: non-finite prediction values")
-        if var_reg <= 0:
-            raise DataError(f"{path}: row {row_num}: var_reg must be positive")
-        out.append((pid, y_reg, var_reg))
-    if not out:
+        ids.append(cells["id"])
+        values.append(cells["y_reg"])
+        variances.append(cells["var_reg"])
+    if not ids:
         raise DataError(f"{path}: no data rows")
-    return out
+    return ids, Estimate(np.array(values), np.array(variances))
 
 
 def _dataset_from_args(args: argparse.Namespace) -> Dataset:
@@ -225,61 +180,38 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
 # Subcommands
 
 
-class _Estimate:
-    """Minimal value/variance carrier for fusion."""
-
-    __slots__ = ("value", "variance")
-
-    def __init__(self, value: float, variance: float):
-        self.value = value
-        self.variance = variance
-
-
 def cmd_refine(args: argparse.Namespace) -> None:
-    predictions = _load_predictions(args.predictions)
+    ids, reg = _load_predictions(args.predictions)
     references = load_references_csv(args.references)
     comparison_map = load_comparisons_csv(args.comparisons, references.labels_by_id())
-    known = {pid for pid, _, _ in predictions}
+    known = set(ids)
     for qid in comparison_map:
         if qid not in known:
             raise DataError(
                 f"{args.comparisons}: comparisons reference unknown prediction id {qid!r}"
             )
     solver = SolverConfig()
-    refined = 0
-    lines = [",".join(REFINE_HEADER)]
-    for pid, y_reg, var_reg in predictions:
-        comparisons = comparison_map.get(pid)
-        if comparisons is None or comparisons.is_empty:
-            lines.append(
-                ",".join([pid, _fmt(y_reg), _fmt(var_reg), "", "", _fmt(y_reg), _fmt(var_reg), ""])
-            )
-            continue
-        estimate = solve_rank_estimate(comparisons, solver)
-        rank_var = estimate.variance
-        if args.clamp_c > 0:
-            rank_var = regularize_rank_variance(rank_var, var_reg, args.clamp_c)
-        fused = fuse(
-            _Estimate(y_reg, var_reg), _Estimate(estimate.value, rank_var)
-        )
-        refined += 1
-        lines.append(
-            ",".join(
-                [
-                    pid,
-                    _fmt(y_reg),
-                    _fmt(var_reg),
-                    _fmt(estimate.value),
-                    _fmt(rank_var),
-                    _fmt(fused.value),
-                    _fmt(fused.variance),
-                    "true" if estimate.clamped else "false",
-                ]
-            )
-        )
-    with open(args.out, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
-    print(f"refined {refined} of {len(predictions)} predictions -> {args.out}")
+    refined = [i for i, pid in enumerate(ids) if pid in comparison_map]
+    estimates = [solve_rank_estimate(comparison_map[ids[i]], solver) for i in refined]
+    reg_var = reg.variance[refined]
+    rank_var = np.array([est.variance for est in estimates])
+    if args.clamp_c > 0:
+        rank_var = regularize_rank_variance(rank_var, reg_var, args.clamp_c)
+    rank = Estimate(np.array([est.value for est in estimates]), rank_var)
+    fused = fuse(Estimate(reg.value[refined], reg_var), rank)
+
+    # Queries without comparisons pass through with empty rank cells.
+    rows = [[pid, y, v, "", "", y, v, ""] for pid, y, v in zip(ids, reg.value, reg.variance)]
+    for j, (i, est) in enumerate(zip(refined, estimates)):
+        rows[i][3:] = [
+            rank.value[j],
+            rank.variance[j],
+            fused.value[j],
+            fused.variance[j],
+            "true" if est.clamped else "false",
+        ]
+    write_table(args.out, REFINE_HEADER, rows)
+    print(f"refined {len(refined)} of {len(ids)} predictions -> {args.out}")
 
 
 def cmd_rank(args: argparse.Namespace) -> None:
@@ -328,8 +260,10 @@ def _rank_file(args: argparse.Namespace) -> None:
 
 def _rank_interactive(args: argparse.Namespace) -> None:
     query_ids, query_texts, _ = _load_table(args.queries)
-    references = load_references_csv(args.references)
-    _, ref_texts, _ = _load_table(args.references)
+    ref_ids, ref_texts, ref_labels = _load_table(args.references, required=("id", "y"))
+    references = ReferenceSet(
+        tuple(LabeledReference(rid, ref_labels[rid]) for rid in ref_ids)
+    )
     outcomes = []
     for qid in query_ids:
         comparisons = interactive_rank(

@@ -13,7 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,19 +64,40 @@ class ReferenceSet:
 
 
 @dataclass(frozen=True)
-class RegressorEstimate:
-    """A point prediction and its variance from the base regressor."""
+class Estimate:
+    """A value and its variance, as floats or as equal-length 1-d arrays.
 
-    value: float
-    variance: float
+    Arrays hold one estimate per query. Values must be finite and variances
+    finite and positive, element by element.
+    """
+
+    value: float | np.ndarray
+    variance: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValidationError(f"estimate value must be finite, got {self.value!r}")
-        if not math.isfinite(self.variance) or self.variance <= 0.0:
+        value = np.asarray(self.value, dtype=float)
+        variance = np.asarray(self.variance, dtype=float)
+        if value.ndim > 1 or value.shape != variance.shape:
             raise ValidationError(
-                f"estimate variance must be finite and positive, got {self.variance!r}"
+                f"estimate value and variance must be floats or equal-length 1-d "
+                f"arrays, got shapes {value.shape} and {variance.shape}"
             )
+        _require(np.isfinite(value), value, "estimate value must be finite")
+        _require(
+            np.isfinite(variance) & (variance > 0.0),
+            variance,
+            "estimate variance must be finite and positive",
+        )
+        if value.ndim == 1:
+            object.__setattr__(self, "value", value)
+            object.__setattr__(self, "variance", variance)
+
+
+def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValidationError naming the first element of ``values`` failing ``ok``."""
+    if not np.all(ok):
+        bad = float(np.ravel(values)[np.argmin(np.ravel(ok))])
+        raise ValidationError(f"{message}, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -222,13 +243,10 @@ class SplitSpec:
 
     train_size: int = 50
     seed: int = 0
-    seed_count: int = 5
 
     def __post_init__(self) -> None:
         if self.train_size < 1:
             raise ValidationError(f"train_size must be >= 1, got {self.train_size}")
-        if self.seed_count < 1:
-            raise ValidationError(f"seed_count must be >= 1, got {self.seed_count}")
 
 
 def resplit(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -313,17 +331,62 @@ def pra(
 # CSV input/output
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    path = Path(path)
+def read_table(
+    path: str | Path,
+    required: Sequence[str] = (),
+    numeric: Collection[str] = (),
+    key: str | None = None,
+) -> tuple[tuple[str, ...], Iterator[tuple[int, dict]]]:
+    """Open a CSV file and stream its rows; the one reader of every CSV input.
+
+    Returns the stripped header and an iterator of ``(line, cells)``, where
+    ``line`` is the row's line number in the file and ``cells`` maps column
+    names to cells. Rows are read as the iterator advances. Blank lines are
+    skipped; ``numeric`` cells are parsed as finite floats; ``key`` cells are
+    stripped and must be distinct. Every DataError names the path, and the
+    row and column where one applies.
+    """
+    rows = _table_rows(Path(path), required, numeric, key)
+    return next(rows), rows
+
+
+def _table_rows(path: Path, required: Sequence[str], numeric: Collection[str], key: str | None):
+    # Yields the header first, so that read_table raises header errors itself.
     try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+        handle = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file, expected a header row")
-    header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
+    with handle:
+        reader = csv.reader(handle)
+        first = next((row for row in reader if row), None)
+        if first is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        header = tuple(cell.strip() for cell in first)
+        for column in required:
+            if column not in header:
+                raise DataError(f"{path}: missing required column {column!r}")
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate column names in header")
+        yield header
+        parsed = [column for column in header if column in numeric]
+        seen: set[str] = set()
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {line} has {len(row)} cells, header has {len(header)}"
+                )
+            cells = dict(zip(header, row))
+            for column in parsed:
+                cells[column] = _parse_float(cells[column], path, line, column)
+            if key in cells:
+                value = cells[key] = cells[key].strip()
+                if value in seen:
+                    raise DataError(f"{path}: row {line}, column {key!r}: duplicate id {value!r}")
+                seen.add(value)
+            yield line, cells
 
 
 def _parse_float(cell: str, path: Path, row_num: int, column: str) -> float:
@@ -348,47 +411,29 @@ def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
     indices are used as ids when no id column is present.
     """
     path = Path(path)
-    header, rows = _read_rows(path)
-    if TARGET_COLUMN not in header:
-        raise DataError(f"{path}: missing required column {TARGET_COLUMN!r}")
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    id_pos = header.index(ID_COLUMN) if ID_COLUMN in header else None
-    text_pos = header.index(TEXT_COLUMN) if TEXT_COLUMN in header else None
-    y_pos = header.index(TARGET_COLUMN)
-    feature_pos = [
-        i for i in range(len(header)) if i not in (id_pos, text_pos, y_pos)
-    ]
-    if not feature_pos:
+    header, rows = read_table(path, (TARGET_COLUMN,), (TARGET_COLUMN,), key=ID_COLUMN)
+    feature_names = [c for c in header if c not in (ID_COLUMN, TEXT_COLUMN, TARGET_COLUMN)]
+    if not feature_names:
         raise DataError(f"{path}: no feature columns found")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
 
     ids: list[str] = []
     texts: list[str] = []
     targets: list[float] = []
     features: list[list[float]] = []
-    for offset, row in enumerate(rows):
-        row_num = offset + 2
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
-            )
-        ids.append(row[id_pos].strip() if id_pos is not None else str(offset))
-        if text_pos is not None:
-            texts.append(row[text_pos])
-        targets.append(_parse_float(row[y_pos], path, row_num, TARGET_COLUMN))
-        features.append(
-            [_parse_float(row[i], path, row_num, header[i]) for i in feature_pos]
-        )
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate ids in column {ID_COLUMN!r}")
+    for offset, (line, cells) in enumerate(rows):
+        ids.append(cells.get(ID_COLUMN, str(offset)))
+        if TEXT_COLUMN in cells:
+            texts.append(cells[TEXT_COLUMN])
+        targets.append(cells[TARGET_COLUMN])
+        features.append([_parse_float(cells[c], path, line, c) for c in feature_names])
+    if not ids:
+        raise DataError(f"{path}: no data rows")
     try:
         return Dataset(
             ids=tuple(ids),
             features=np.array(features, dtype=float),
             y=np.array(targets, dtype=float),
-            text=tuple(texts) if text_pos is not None else None,
+            text=tuple(texts) if TEXT_COLUMN in header else None,
             name=name if name is not None else path.stem,
         )
     except ValidationError as exc:
@@ -397,44 +442,32 @@ def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
 
 def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset to CSV in a form ``load_dataset_csv`` reads back."""
-    path = Path(path)
-    feature_names = [f"x{j}" for j in range(dataset.n_features)]
-    header = [ID_COLUMN, *feature_names, TARGET_COLUMN]
+    header = [ID_COLUMN, *(f"x{j}" for j in range(dataset.n_features)), TARGET_COLUMN]
+    rows = ([i, *x, y] for i, x, y in zip(dataset.ids, dataset.features, dataset.y))
     if dataset.text is not None:
         header.append(TEXT_COLUMN)
+        rows = ([*row, text] for row, text in zip(rows, dataset.text))
+    write_table(path, header, rows)
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a CSV file with a header row; the one writer of every CSV output.
+
+    Floats, numpy floats among them, are written as ``repr(float(v))``,
+    which keeps full precision, so reruns write byte-identical files.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for i in range(len(dataset)):
-            row: list[str] = [dataset.ids[i]]
-            row.extend(repr(float(v)) for v in dataset.features[i])
-            row.append(repr(float(dataset.y[i])))
-            if dataset.text is not None:
-                row.append(dataset.text[i])
-            writer.writerow(row)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def load_references_csv(path: str | Path) -> ReferenceSet:
     """Load labeled references from any CSV having ``id`` and ``y`` columns."""
     path = Path(path)
-    header, rows = _read_rows(path)
-    for required in (ID_COLUMN, TARGET_COLUMN):
-        if required not in header:
-            raise DataError(f"{path}: missing required column {required!r}")
-    id_pos = header.index(ID_COLUMN)
-    y_pos = header.index(TARGET_COLUMN)
-    refs: list[LabeledReference] = []
-    for offset, row in enumerate(rows):
-        row_num = offset + 2
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {row_num} has {len(row)} cells, header has {len(header)}"
-            )
-        label = _parse_float(row[y_pos], path, row_num, TARGET_COLUMN)
-        refs.append(LabeledReference(row[id_pos].strip(), label))
+    _, rows = read_table(path, (ID_COLUMN, TARGET_COLUMN), (TARGET_COLUMN,), key=ID_COLUMN)
+    refs = tuple(LabeledReference(cells[ID_COLUMN], cells[TARGET_COLUMN]) for _, cells in rows)
     if not refs:
         raise DataError(f"{path}: no data rows")
-    try:
-        return ReferenceSet(tuple(refs))
-    except ValidationError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return ReferenceSet(refs)

@@ -1,5 +1,12 @@
 """Reproducible experiment protocols built on the library primitives.
 
+Every protocol runs on one cell engine. A seed context holds one re-split:
+its train/test split, forest and regressor estimates. A cell is that
+context at one (accuracy, k): the comparisons, rank estimates and clamped
+flags of every test query, as per-query arrays. The sweep, baseline and
+noise protocols are short reducers over cells, each fusing a whole cell
+with one ``fuse`` call on arrays.
+
 Each run routine derives every random choice from a master seed through
 named substreams keyed by seed index, query id, and purpose ("split",
 "forest", "oracle", "refs", "noise", "bound"). Cells of a sweep therefore
@@ -15,7 +22,8 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -23,11 +31,21 @@ import numpy as np
 
 from . import forest as forest_mod
 from .baselines import FeasibleInterval, projection_refine, rbr_refine
-from .core import Dataset, ReferenceSet, RegressorEstimate, SplitSpec, mae, resplit
+from .core import (
+    ComparisonSet,
+    Dataset,
+    Estimate,
+    ReferenceSet,
+    SplitSpec,
+    beta,
+    mae,
+    resplit,
+    write_table,
+)
 from .errors import ValidationError
 from .forest import ForestConfig, TrainedForest
 from .fusion import fuse, regularize_rank_variance, required_rank_variance
-from .rank import RankEstimate, SolverConfig, solve_rank_estimate
+from .rank import SolverConfig, solve_rank_estimate
 from .rankers import OracleRankerConfig, generate_comparisons, make_oracle_ranker
 from .seeding import derive_rng, derive_seed
 
@@ -139,9 +157,7 @@ def validate_bound(
     for alpha in alphas:
         alpha = float(alpha)
         rank_var = required_rank_variance(alpha, 1.0)  # validates alpha
-        weights = fuse(
-            RegressorEstimate(0.0, 1.0), RegressorEstimate(0.0, rank_var)
-        )
+        weights = fuse(Estimate(0.0, 1.0), Estimate(0.0, rank_var))
         rng = derive_rng("bound", seed, alpha)
         reg_err = rng.standard_normal(n_samples)
         rank_err = rng.standard_normal(n_samples) * math.sqrt(rank_var)
@@ -205,9 +221,13 @@ class _SeedContext:
     test: Dataset
     references: ReferenceSet
     model: TrainedForest
-    reg_values: np.ndarray
-    reg_variances: np.ndarray
+    reg: Estimate
     mae_reg: float
+
+    @cached_property
+    def train_values(self) -> np.ndarray:
+        """Forest predictions on the training split, which the rbr baseline smooths toward."""
+        return forest_mod.predict_matrix(self.model, self.train.features).mean(axis=0)
 
 
 def _build_seed_context(
@@ -230,8 +250,7 @@ def _build_seed_context(
         test=test,
         references=train.to_reference_set(),
         model=model,
-        reg_values=reg_values,
-        reg_variances=reg_variances,
+        reg=Estimate(reg_values, reg_variances),
         mae_reg=mae(reg_values, test.y),
     )
 
@@ -241,7 +260,7 @@ def _query_comparisons(
     accuracy: float,
     k: int,
     master_seed: int,
-):
+) -> list[ComparisonSet]:
     """Comparison sets for every test query at one (accuracy, k) cell.
 
     The reference permutation for a query depends only on (master seed, seed
@@ -261,31 +280,92 @@ def _query_comparisons(
     return sets
 
 
-def _rank_estimates(
-    comparison_sets,
-    solver_config: SolverConfig,
-) -> list[RankEstimate]:
-    return [solve_rank_estimate(comps, solver_config) for comps in comparison_sets]
+@dataclass(frozen=True, eq=False)
+class _Cell:
+    """One (seed, accuracy, k) cell: per-query arrays in test-split order.
+
+    ``rank`` holds the unclamped rank estimates; ``clamped`` flags the
+    queries whose estimate sits on a search-domain boundary.
+    """
+
+    ctx: _SeedContext
+    accuracy: float
+    k: int
+    comparisons: list[ComparisonSet]
+    rank: Estimate
+    clamped: np.ndarray
 
 
-def _fused_values(
+def _compute_cell(
     ctx: _SeedContext,
-    estimates: Sequence[RankEstimate],
-    clamp_c: float,
-    rank_variances: Sequence[float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fuse each test query; returns (fused values, rank variances used)."""
-    fused = np.empty(len(estimates))
-    used = np.empty(len(estimates))
-    for i, est in enumerate(estimates):
-        reg = RegressorEstimate(float(ctx.reg_values[i]), float(ctx.reg_variances[i]))
-        rank_var = float(rank_variances[i]) if rank_variances is not None else est.variance
-        if clamp_c > 0.0:
-            rank_var = regularize_rank_variance(rank_var, reg.variance, clamp_c)
-        result = fuse(reg, RegressorEstimate(est.value, rank_var))
-        fused[i] = result.value
-        used[i] = rank_var
-    return fused, used
+    accuracy: float,
+    k: int,
+    master_seed: int,
+    solver_config: SolverConfig,
+) -> _Cell:
+    comparisons = _query_comparisons(ctx, accuracy, k, master_seed)
+    estimates = [solve_rank_estimate(comps, solver_config) for comps in comparisons]
+    return _Cell(
+        ctx=ctx,
+        accuracy=accuracy,
+        k=k,
+        comparisons=comparisons,
+        rank=Estimate(
+            np.array([est.value for est in estimates]),
+            np.array([est.variance for est in estimates]),
+        ),
+        clamped=np.array([est.clamped for est in estimates]),
+    )
+
+
+def _run_grid(
+    dataset: Dataset,
+    grid: SweepGrid,
+    forest_config: ForestConfig,
+    solver_config: SolverConfig,
+    master_seed: int,
+    threads: int | None,
+    reduce: Callable[[_Cell], object],
+) -> list:
+    """Reduce every cell of the grid: seeds outermost, then accuracies, then ks."""
+    workers = thread_count(threads)
+    contexts = [
+        _build_seed_context(dataset, i, master_seed, grid.train_size, forest_config)
+        for i in range(grid.seeds)
+    ]
+    tasks = [
+        lambda ctx=ctx, a=accuracy, kk=k: reduce(
+            _compute_cell(ctx, a, kk, master_seed, solver_config)
+        )
+        for ctx in contexts
+        for accuracy in grid.accuracies
+        for k in grid.ks
+    ]
+    return _run_cells(tasks, workers)
+
+
+def _fused_mae(ctx: _SeedContext, rank: Estimate) -> float:
+    return mae(fuse(ctx.reg, rank).value, ctx.test.y)
+
+
+def _sweep_record(cell: _Cell, dataset_name: str, clamp_c: float) -> SweepRecord:
+    rank = cell.rank
+    if clamp_c > 0.0:
+        rank = Estimate(
+            rank.value, regularize_rank_variance(rank.variance, cell.ctx.reg.variance, clamp_c)
+        )
+    mae_post = _fused_mae(cell.ctx, rank)
+    return SweepRecord(
+        dataset=dataset_name,
+        seed=cell.ctx.seed_index,
+        accuracy=cell.accuracy,
+        k=cell.k,
+        mae_reg=cell.ctx.mae_reg,
+        mae_post=mae_post,
+        beta=beta(mae_post, cell.ctx.mae_reg),
+        mean_rank_variance=float(np.mean(rank.variance)),
+        clamp_rate=float(np.mean(cell.clamped)),
+    )
 
 
 def _cell_record(
@@ -297,21 +377,9 @@ def _cell_record(
     master_seed: int,
     solver_config: SolverConfig,
 ) -> SweepRecord:
-    comps = _query_comparisons(ctx, accuracy, k, master_seed)
-    estimates = _rank_estimates(comps, solver_config)
-    fused, used_vars = _fused_values(ctx, estimates, clamp_c)
-    mae_post = mae(fused, ctx.test.y)
-    return SweepRecord(
-        dataset=dataset_name,
-        seed=ctx.seed_index,
-        accuracy=accuracy,
-        k=k,
-        mae_reg=ctx.mae_reg,
-        mae_post=mae_post,
-        beta=mae_post / ctx.mae_reg,
-        mean_rank_variance=float(np.mean(used_vars)),
-        clamp_rate=float(np.mean([est.clamped for est in estimates])),
-    )
+    """The sweep record of one cell, computed on its own."""
+    cell = _compute_cell(ctx, accuracy, k, master_seed, solver_config)
+    return _sweep_record(cell, dataset_name, clamp_c)
 
 
 def run_oracle_sweep(
@@ -328,21 +396,15 @@ def run_oracle_sweep(
     the construction order of the grid. Deterministic in (dataset, grid,
     configs, master_seed) regardless of the thread count.
     """
-    workers = thread_count(threads)
-    contexts = {
-        i: _build_seed_context(dataset, i, master_seed, grid.train_size, forest_config)
-        for i in range(grid.seeds)
-    }
-    tasks = []
-    for i in range(grid.seeds):
-        for accuracy in grid.accuracies:
-            for k in grid.ks:
-                tasks.append(
-                    lambda ctx=contexts[i], a=accuracy, kk=k: _cell_record(
-                        ctx, dataset.name, a, kk, grid.clamp_c, master_seed, solver_config
-                    )
-                )
-    return _run_cells(tasks, workers)
+    return _run_grid(
+        dataset,
+        grid,
+        forest_config,
+        solver_config,
+        master_seed,
+        threads,
+        lambda cell: _sweep_record(cell, dataset.name, grid.clamp_c),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,45 +444,17 @@ def run_baseline_delta(
     """
     if method not in ("projection", "rbr"):
         raise ValidationError(f"method must be 'projection' or 'rbr', got {method!r}")
-    workers = thread_count(threads)
-    contexts = {
-        i: _build_seed_context(dataset, i, master_seed, grid.train_size, forest_config)
-        for i in range(grid.seeds)
-    }
-    rbr_betas: dict[tuple[int, int], float] = {}
-    if method == "rbr":
-        for i, ctx in contexts.items():
-            train_values = forest_mod.predict_matrix(ctx.model, ctx.train.features).mean(axis=0)
-            for k in grid.ks:
-                refined = np.array(
-                    [
-                        rbr_refine(
-                            ctx.test.features[q],
-                            float(ctx.reg_values[q]),
-                            ctx.train,
-                            train_values,
-                            k,
-                        )
-                        for q in range(len(ctx.test))
-                    ]
-                )
-                rbr_betas[(i, k)] = mae(refined, ctx.test.y) / ctx.mae_reg
 
-    def cell(ctx: _SeedContext, accuracy: float, k: int) -> BaselineDeltaRecord:
-        comps = _query_comparisons(ctx, accuracy, k, master_seed)
-        estimates = _rank_estimates(comps, solver_config)
-        fused, _ = _fused_values(ctx, estimates, grid.clamp_c)
-        beta_fused = mae(fused, ctx.test.y) / ctx.mae_reg
+    def delta_record(cell: _Cell) -> BaselineDeltaRecord:
+        ctx = cell.ctx
         if method == "projection":
-            projected = np.array(
-                [
-                    projection_refine(float(ctx.reg_values[q]), comps[q])
-                    for q in range(len(ctx.test))
-                ]
-            )
+            refined = [
+                projection_refine(float(value), comps)
+                for value, comps in zip(ctx.reg.value, cell.comparisons)
+            ]
             inconsistent = float(
                 np.mean(
-                    [FeasibleInterval.from_comparisons(c).is_empty for c in comps]
+                    [FeasibleInterval.from_comparisons(c).is_empty for c in cell.comparisons]
                 )
             )
             if inconsistent:
@@ -428,28 +462,29 @@ def run_baseline_delta(
                     "projection: %.0f%% inconsistent intervals at seed=%d accuracy=%.2f k=%d",
                     100 * inconsistent,
                     ctx.seed_index,
-                    accuracy,
-                    k,
+                    cell.accuracy,
+                    cell.k,
                 )
-            beta_baseline = mae(projected, ctx.test.y) / ctx.mae_reg
         else:
-            beta_baseline = rbr_betas[(ctx.seed_index, k)]
+            refined = [
+                rbr_refine(features, float(value), ctx.train, ctx.train_values, cell.k)
+                for features, value in zip(ctx.test.features, ctx.reg.value)
+            ]
+        beta_fused = _sweep_record(cell, dataset.name, grid.clamp_c).beta
+        beta_baseline = beta(mae(np.array(refined), ctx.test.y), ctx.mae_reg)
         return BaselineDeltaRecord(
             dataset=dataset.name,
             seed=ctx.seed_index,
-            accuracy=accuracy,
-            k=k,
+            accuracy=cell.accuracy,
+            k=cell.k,
             beta_fused=beta_fused,
             beta_baseline=beta_baseline,
             delta=beta_fused - beta_baseline,
         )
 
-    tasks = []
-    for i in range(grid.seeds):
-        for accuracy in grid.accuracies:
-            for k in grid.ks:
-                tasks.append(lambda ctx=contexts[i], a=accuracy, kk=k: cell(ctx, a, kk))
-    return _run_cells(tasks, workers)
+    return _run_grid(
+        dataset, grid, forest_config, solver_config, master_seed, threads, delta_record
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,29 +541,29 @@ def run_noise_sweep(
             raise ValidationError(f"perturbation half-width must be >= 0, got {b!r}")
     if not bs:
         raise ValidationError("at least one perturbation half-width is required")
-    records: list[NoiseRecord] = []
-    pooled_vars: list[float] = []
-    for i in range(seeds):
-        ctx = _build_seed_context(dataset, i, master_seed, train_size, forest_config)
-        comps = _query_comparisons(ctx, accuracy, k, master_seed)
-        estimates = _rank_estimates(comps, solver_config)
-        raw_vars = np.array([est.variance for est in estimates])
-        pooled_vars.extend(raw_vars.tolist())
+    grid = SweepGrid(accuracies=(accuracy,), ks=(k,), seeds=seeds, train_size=train_size)
+
+    def seed_records(cell: _Cell) -> tuple[list[NoiseRecord], np.ndarray]:
+        ctx = cell.ctx
         draws = np.array(
             [
-                derive_rng("noise", master_seed, i, qid).uniform(-1.0, 1.0)
+                derive_rng("noise", master_seed, ctx.seed_index, qid).uniform(-1.0, 1.0)
                 for qid in ctx.test.ids
             ]
         )
+        records = []
         for b in bs:
-            perturbed = np.maximum(raw_vars + float(b) * draws, NOISE_VARIANCE_FLOOR)
-            fused, _ = _fused_values(ctx, estimates, clamp_c=0.0, rank_variances=perturbed)
+            perturbed = np.maximum(cell.rank.variance + float(b) * draws, NOISE_VARIANCE_FLOOR)
+            mae_post = _fused_mae(ctx, Estimate(cell.rank.value, perturbed))
             records.append(
-                NoiseRecord(seed=i, b=float(b), beta=mae(fused, ctx.test.y) / ctx.mae_reg)
+                NoiseRecord(seed=ctx.seed_index, b=float(b), beta=beta(mae_post, ctx.mae_reg))
             )
-    pooled = np.array(pooled_vars)
+        return records, cell.rank.variance
+
+    per_seed = _run_grid(dataset, grid, forest_config, solver_config, master_seed, 1, seed_records)
+    pooled = np.concatenate([variances for _, variances in per_seed])
     return NoiseSweepResult(
-        records=tuple(records),
+        records=tuple(record for records, _ in per_seed for record in records),
         rank_var_mean=float(np.mean(pooled)),
         rank_var_sd=float(np.std(pooled, ddof=1)) if pooled.size > 1 else 0.0,
     )
@@ -538,54 +573,20 @@ def run_noise_sweep(
 # CSV output
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    # repr keeps full float precision so reruns produce byte-identical files.
-    def cell(value: object) -> str:
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(cell(v) for v in row) + "\n")
+def _write_records(path: str | Path, record_type: type, records: Iterable[object]) -> None:
+    """One column per field of the record dataclass, in declaration order."""
+    names = [f.name for f in fields(record_type)]
+    write_table(path, names, ([getattr(r, name) for name in names] for r in records))
 
 
 def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
-    _write_csv(
-        path,
-        [
-            "dataset",
-            "seed",
-            "accuracy",
-            "k",
-            "mae_reg",
-            "mae_post",
-            "beta",
-            "mean_rank_variance",
-            "clamp_rate",
-        ],
-        (
-            (
-                r.dataset,
-                r.seed,
-                r.accuracy,
-                r.k,
-                r.mae_reg,
-                r.mae_post,
-                r.beta,
-                r.mean_rank_variance,
-                r.clamp_rate,
-            )
-            for r in records
-        ),
-    )
+    _write_records(path, SweepRecord, records)
 
 
 def write_bound_csv(
     results: Sequence[tuple[float, float]], n_samples: int, path: str | Path
 ) -> None:
-    _write_csv(
+    write_table(
         path,
         ["alpha", "empirical_beta", "n_samples"],
         ((alpha, ratio, n_samples) for alpha, ratio in results),
@@ -593,17 +594,10 @@ def write_bound_csv(
 
 
 def write_baseline_csv(records: Sequence[BaselineDeltaRecord], path: str | Path) -> None:
-    _write_csv(
-        path,
-        ["dataset", "seed", "accuracy", "k", "beta_fused", "beta_baseline", "delta"],
-        (
-            (r.dataset, r.seed, r.accuracy, r.k, r.beta_fused, r.beta_baseline, r.delta)
-            for r in records
-        ),
-    )
+    _write_records(path, BaselineDeltaRecord, records)
 
 
 def write_noise_csv(result: NoiseSweepResult, path: str | Path) -> None:
     """Mean beta per perturbation half-width, averaged over seeds."""
     bs = sorted({r.b for r in result.records})
-    _write_csv(path, ["b", "beta"], ((b, result.mean_beta(b)) for b in bs))
+    write_table(path, ["b", "beta"], ((b, result.mean_beta(b)) for b in bs))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, RegressorEstimate
+from .core import Dataset, Estimate
 from .errors import DataError, ValidationError
 from .seeding import derive_rng
 
@@ -262,7 +262,7 @@ def predict_with_variance(
     model: TrainedForest,
     features: np.ndarray,
     var_floor: float = DEFAULT_VARIANCE_FLOOR,
-) -> RegressorEstimate:
+) -> Estimate:
     """Prediction and uncertainty for a single feature vector."""
     features = np.asarray(features, dtype=float)
     if features.shape != (model.n_features,):
@@ -272,7 +272,7 @@ def predict_with_variance(
     means, variances = predict_with_variance_matrix(
         model, features.reshape(1, -1), var_floor
     )
-    return RegressorEstimate(value=float(means[0]), variance=float(variances[0]))
+    return Estimate(value=float(means[0]), variance=float(variances[0]))
 
 
 def save_forest(model: TrainedForest, path: str | Path) -> None:

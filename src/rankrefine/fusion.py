@@ -7,22 +7,22 @@ either input variance, which is what makes post-hoc refinement safe when
 the variances are honest. Helper functions cover the variance clamp used to
 guard against overconfident rank variances, the rank-variance level needed
 to hit a target error ratio, and the MAE of a centered Gaussian error.
+
+``fuse`` and ``regularize_rank_variance`` work elementwise: given floats
+they return floats, given equal-length arrays (one entry per query, as in
+a ``core.Estimate`` of arrays) they return arrays, with the same IEEE
+arithmetic either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
+import numpy as np
+
+from .core import Estimate, _require
 from .errors import NumericError, ValidationError
-
-
-class Estimate(Protocol):
-    """Anything carrying a value and a variance can be fused."""
-
-    value: float
-    variance: float
 
 
 @dataclass(frozen=True)
@@ -31,36 +31,37 @@ class FusedEstimate:
 
     ``weight_reg`` and ``weight_rank`` are the convex weights applied to the
     two input values; they are reported for diagnostics and sum to one.
+    Each field is a float, or an array with one entry per query when the
+    inputs were arrays.
     """
 
-    value: float
-    variance: float
-    weight_reg: float
-    weight_rank: float
+    value: float | np.ndarray
+    variance: float | np.ndarray
+    weight_reg: float | np.ndarray
+    weight_rank: float | np.ndarray
 
 
-def _check_variance(variance: float, which: str) -> None:
-    if not (math.isfinite(variance) and variance > 0.0):
-        raise ValidationError(
-            f"{which} variance must be finite and positive, got {variance!r}"
-        )
+def _check_variance(variance: float | np.ndarray, which: str) -> None:
+    ok = np.isfinite(variance) & (np.asarray(variance) > 0.0)
+    _require(ok, variance, f"{which} variance must be finite and positive")
 
 
 def fuse(reg: Estimate, rank: Estimate) -> FusedEstimate:
     """Combine two estimates by inverse-variance weighting.
 
-    Only ``value`` and ``variance`` are read from each argument. The
-    operation is symmetric: swapping the arguments swaps the reported
-    weights and leaves the fused value and variance unchanged.
+    Only ``value`` and ``variance`` are read from each argument, so a
+    ``RankEstimate`` fuses as it is. The operation is symmetric: swapping
+    the arguments swaps the reported weights and leaves the fused value and
+    variance unchanged.
     """
     _check_variance(reg.variance, "regressor")
     _check_variance(rank.variance, "rank")
-    if not (math.isfinite(reg.value) and math.isfinite(rank.value)):
+    if not (np.all(np.isfinite(reg.value)) and np.all(np.isfinite(rank.value))):
         raise ValidationError("estimate values must be finite")
     precision_reg = 1.0 / reg.variance
     precision_rank = 1.0 / rank.variance
     total = precision_reg + precision_rank
-    if not math.isfinite(total) or total <= 0.0:
+    if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
         raise NumericError(
             f"cannot fuse variances {reg.variance!r} and {rank.variance!r}"
         )
@@ -68,7 +69,7 @@ def fuse(reg: Estimate, rank: Estimate) -> FusedEstimate:
     weight_rank = precision_rank / total
     value = weight_reg * reg.value + weight_rank * rank.value
     variance = 1.0 / total
-    if not math.isfinite(value):
+    if not np.all(np.isfinite(value)):
         raise NumericError("fused value is non-finite")
     return FusedEstimate(
         value=value,
@@ -78,7 +79,9 @@ def fuse(reg: Estimate, rank: Estimate) -> FusedEstimate:
     )
 
 
-def regularize_rank_variance(rank_var: float, reg_var: float, c: float) -> float:
+def regularize_rank_variance(
+    rank_var: float | np.ndarray, reg_var: float | np.ndarray, c: float
+) -> float | np.ndarray:
     """Clamp a rank variance from below at ``c`` times the regressor variance.
 
     Guards fusion against rank variances that are overconfident relative to
@@ -89,7 +92,8 @@ def regularize_rank_variance(rank_var: float, reg_var: float, c: float) -> float
     _check_variance(reg_var, "regressor")
     if not (math.isfinite(c) and c > 0.0):
         raise ValidationError(f"clamp factor c must be positive, got {c!r}")
-    return max(rank_var, c * reg_var)
+    clamped = np.maximum(rank_var, c * reg_var)
+    return float(clamped) if np.ndim(clamped) == 0 else clamped
 
 
 def required_rank_variance(alpha: float, reg_var: float) -> float:

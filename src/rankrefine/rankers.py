@@ -20,7 +20,13 @@ from typing import Callable, Iterable, Mapping, MutableMapping, Sequence, TextIO
 import numpy as np
 import requests
 
-from .core import ComparisonOutcome, ComparisonSet, LabeledReference, ReferenceSet
+from .core import (
+    ComparisonOutcome,
+    ComparisonSet,
+    LabeledReference,
+    ReferenceSet,
+    read_table,
+)
 from .errors import DataError, TransportError, ValidationError
 from .seeding import unit_uniform
 
@@ -150,27 +156,17 @@ def load_comparisons_csv(
     each query.
     """
     path = Path(path)
-    try:
-        with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty file, expected header {','.join(COMPARISONS_HEADER)}")
-    header = tuple(cell.strip() for cell in rows[0])
+    header, rows = read_table(path)
     if header != COMPARISONS_HEADER:
         raise DataError(
             f"{path}: expected header {','.join(COMPARISONS_HEADER)}, got {','.join(header)}"
         )
     grouped: dict[str, list[ComparisonOutcome]] = {}
-    for offset, row in enumerate(rows[1:]):
-        row_num = offset + 2
-        if len(row) != 3:
-            raise DataError(f"{path}: row {row_num} has {len(row)} cells, expected 3")
-        query_id, ref_id, outcome = (cell.strip() for cell in row)
+    for line, cells in rows:
+        query_id, ref_id, outcome = (cells[column].strip() for column in COMPARISONS_HEADER)
         if outcome not in ("0", "1"):
             raise DataError(
-                f"{path}: row {row_num}: outcome must be 0 or 1, got {outcome!r}"
+                f"{path}: row {line}, column 'outcome': outcome must be 0 or 1, got {outcome!r}"
             )
         grouped.setdefault(query_id, []).append(
             ComparisonOutcome(query_id=query_id, ref_id=ref_id, query_above=outcome == "1")

@@ -20,7 +20,7 @@ from scipy.special import expit
 from rankrefine.core import (
     ComparisonOutcome,
     ComparisonSet,
-    RegressorEstimate,
+    Estimate,
     mae,
     pra,
 )
@@ -91,7 +91,7 @@ class TestCriterion2MinimumVariance:
         perturbation_ok = True
         for _ in range(1000):
             v1, v2 = 10.0 ** rng.uniform(-3, 3, size=2)
-            fused = fuse(RegressorEstimate(0.0, v1), RegressorEstimate(0.0, v2))
+            fused = fuse(Estimate(0.0, v1), Estimate(0.0, v2))
             exact = 1.0 / (1.0 / v1 + 1.0 / v2)
             worst_rel = max(worst_rel, abs(fused.variance - exact) / exact)
             w = fused.weight_reg
@@ -197,7 +197,7 @@ class TestCriterion5ExpectedImprovement:
         for v_rank in (0.5, 1.0, 4.0, 100.0):
             e_reg = rng.standard_normal(n)
             e_rank = rng.standard_normal(n) * np.sqrt(v_rank)
-            fused = fuse(RegressorEstimate(0.0, 1.0), RegressorEstimate(0.0, v_rank))
+            fused = fuse(Estimate(0.0, 1.0), Estimate(0.0, v_rank))
             e_fused = fused.weight_reg * e_reg + fused.weight_rank * e_rank
             improved = float(np.mean(np.abs(e_fused))) < float(np.mean(np.abs(e_reg)))
             ok = ok and improved

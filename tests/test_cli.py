@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import csv
 import importlib
 import io
 import os
@@ -128,6 +129,20 @@ class TestRefine:
         ])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_id_with_a_comma_stays_one_cell(self, tmp_path, capsys):
+        predictions = _write(tmp_path / "pred.csv", 'id,y_reg,var_reg\n"a,b",1.0,1.0\n')
+        references = _write(tmp_path / "refs.csv", "id,y\nr1,0.0\n")
+        comparisons = _write(tmp_path / "comp.csv", 'query_id,ref_id,outcome\n"a,b",r1,1\n')
+        out = tmp_path / "refined.csv"
+        assert main([
+            "refine", "--predictions", predictions, "--references", references,
+            "--comparisons", comparisons, "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        assert [len(row) for row in rows] == [8, 8]
+        assert rows[1][0] == "a,b" and rows[1][7] == "true"
 
 
 class TestRankOracle:

@@ -11,7 +11,7 @@ from rankrefine.core import (
     Dataset,
     LabeledReference,
     ReferenceSet,
-    RegressorEstimate,
+    Estimate,
     SplitSpec,
     beta,
     load_dataset_csv,
@@ -49,13 +49,26 @@ class TestValueObjects:
             ReferenceSet(dup)
 
     def test_regressor_estimate_requires_positive_variance(self):
-        RegressorEstimate(0.0, 1e-12)
+        Estimate(0.0, 1e-12)
         with pytest.raises(ValidationError):
-            RegressorEstimate(0.0, 0.0)
+            Estimate(0.0, 0.0)
         with pytest.raises(ValidationError):
-            RegressorEstimate(0.0, -1.0)
+            Estimate(0.0, -1.0)
         with pytest.raises(ValidationError):
-            RegressorEstimate(float("nan"), 1.0)
+            Estimate(float("nan"), 1.0)
+
+    def test_estimate_arrays_are_validated_elementwise(self):
+        est = Estimate([0.0, 1.0], [1.0, 2.0])
+        np.testing.assert_array_equal(est.variance, [1.0, 2.0])
+        assert est.value.dtype == float
+        with pytest.raises(ValidationError, match="got 0.0"):
+            Estimate(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValidationError, match="got inf"):
+            Estimate(np.array([0.0, np.inf]), np.array([1.0, 1.0]))
+        with pytest.raises(ValidationError):
+            Estimate(np.array([0.0, 1.0]), np.array([1.0]))
+        with pytest.raises(ValidationError):
+            Estimate(np.zeros((2, 2)), np.ones((2, 2)))
 
 
 class TestComparisonSet:

@@ -6,7 +6,9 @@ import pytest
 from rankrefine.errors import ValidationError
 from rankrefine.experiments import (
     NOISE_VARIANCE_FLOOR,
+    BaselineDeltaRecord,
     SweepGrid,
+    SweepRecord,
     make_synthetic_dataset,
     run_baseline_delta,
     run_noise_sweep,
@@ -270,6 +272,18 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("b,")
         assert len(lines) >= 3
+
+    def test_numpy_floats_write_like_python_floats(self, tmp_path):
+        def written(cast):
+            sweep = SweepRecord("d", 0, cast(0.8), 20, *map(cast, (1.5, 0.75, 0.5, 0.1, 0.25)))
+            delta = BaselineDeltaRecord("d", 0, cast(0.8), 20, *map(cast, (0.5, 0.75, -0.25)))
+            write_sweep_csv([sweep], tmp_path / "sweep.csv")
+            write_baseline_csv([delta], tmp_path / "delta.csv")
+            return [(tmp_path / name).read_bytes() for name in ("sweep.csv", "delta.csv")]
+
+        python = written(float)
+        assert written(np.float64) == python
+        assert python[0].splitlines()[1] == b"d,0,0.8,20,1.5,0.75,0.5,0.1,0.25"
 
     def test_writes_are_byte_stable(self, tmp_path):
         recs = run_oracle_sweep(

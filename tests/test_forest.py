@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rankrefine.core import Dataset, RegressorEstimate, SplitSpec, mae, resplit
+from rankrefine.core import Dataset, Estimate, SplitSpec, mae, resplit
 from rankrefine.errors import DataError, ValidationError
 from rankrefine.experiments import make_synthetic_dataset
 from rankrefine.forest import (
@@ -124,7 +124,7 @@ class TestVariance:
             config=ForestConfig(n_trees=2),
         )
         est = predict_with_variance(model, np.zeros(1))
-        assert isinstance(est, RegressorEstimate)
+        assert isinstance(est, Estimate)
         assert (est.value, est.variance) == (1.0, 2.0)
 
 
