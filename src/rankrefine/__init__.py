@@ -50,7 +50,6 @@ from .fusion import (
 )
 from .rank import (
     RankEstimate,
-    SolverConfig,
     bt_nll,
     fisher_variance,
     solve_rank_estimate,
@@ -63,7 +62,6 @@ from .rankers import (
     interactive_rank,
     llm_rank_batch,
     load_comparisons_csv,
-    make_oracle_ranker,
     oracle_compare,
     save_comparisons_csv,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "RankRefineError",
     "ReferenceSet",
     "ReplayTransport",
-    "SolverConfig",
     "SplitSpec",
     "SweepGrid",
     "SweepRecord",
@@ -117,7 +114,6 @@ __all__ = [
     "load_references_csv",
     "mae",
     "mae_of_sigma",
-    "make_oracle_ranker",
     "make_synthetic_dataset",
     "oracle_compare",
     "pra",

@@ -45,7 +45,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .fusion import fuse, regularize_rank_variance
-from .rank import SolverConfig, solve_rank_estimate
+from .rank import solve_rank_estimate
 from .rankers import (
     LlmRankerConfig,
     OracleRankerConfig,
@@ -54,7 +54,6 @@ from .rankers import (
     llm_rank_batch,
     load_comparisons_csv,
     load_replay_transport,
-    make_oracle_ranker,
     save_comparisons_csv,
 )
 from .seeding import derive_rng
@@ -190,9 +189,8 @@ def cmd_refine(args: argparse.Namespace) -> None:
             raise DataError(
                 f"{args.comparisons}: comparisons reference unknown prediction id {qid!r}"
             )
-    solver = SolverConfig()
     refined = [i for i, pid in enumerate(ids) if pid in comparison_map]
-    estimates = [solve_rank_estimate(comparison_map[ids[i]], solver) for i in refined]
+    estimates = [solve_rank_estimate(comparison_map[ids[i]]) for i in refined]
     reg_var = reg.variance[refined]
     rank_var = np.array([est.variance for est in estimates])
     if args.clamp_c > 0:
@@ -238,12 +236,12 @@ def cmd_rank(args: argparse.Namespace) -> None:
 def _rank_oracle(args: argparse.Namespace) -> None:
     queries = load_references_csv(args.queries)
     references = load_references_csv(args.references)
-    ranker = make_oracle_ranker(OracleRankerConfig(accuracy=args.accuracy, seed=args.seed))
+    oracle = OracleRankerConfig(accuracy=args.accuracy, seed=args.seed)
     outcomes = []
     for query in queries.references:
         rng = derive_rng("refs", args.seed, query.id)
         comparisons = generate_comparisons(
-            query.id, query.label, references, args.k, ranker, rng
+            query.id, query.label, references, args.k, oracle, rng
         )
         outcomes.extend(comparisons.outcomes)
     save_comparisons_csv(outcomes, args.out)
@@ -354,9 +352,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         train_size=args.train_size,
         clamp_c=args.clamp_c,
     )
-    records = run_oracle_sweep(
-        dataset, grid, master_seed=args.seed, threads=args.threads
-    )
+    records = run_oracle_sweep(dataset, grid, master_seed=args.seed)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} sweep records -> {args.out}")
 
@@ -370,9 +366,7 @@ def cmd_baseline(args: argparse.Namespace) -> None:
         train_size=args.train_size,
         clamp_c=args.clamp_c,
     )
-    records = run_baseline_delta(
-        dataset, grid, args.method, master_seed=args.seed, threads=args.threads
-    )
+    records = run_baseline_delta(dataset, grid, args.method, master_seed=args.seed)
     write_baseline_csv(records, args.out)
     print(f"wrote {len(records)} baseline records -> {args.out}")
 
@@ -496,12 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clamp-c", type=float, default=0.0, help="rank-variance clamp factor (0 disables)"
     )
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: RANKREFINE_THREADS or 1)",
-    )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 
@@ -520,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--clamp-c", type=float, default=0.0, help="rank-variance clamp factor (0 disables)"
     )
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_baseline)
 

@@ -3,7 +3,7 @@
 Everything downstream (the rank estimator, fusion, baselines, forest, and
 the experiment harness) builds on the types defined here. Instances are
 immutable after construction and every operation is pure, so values can be
-shared freely across threads.
+shared freely.
 """
 
 from __future__ import annotations
@@ -343,8 +343,8 @@ def read_table(
     ``line`` is the row's line number in the file and ``cells`` maps column
     names to cells. Rows are read as the iterator advances. Blank lines are
     skipped; ``numeric`` cells are parsed as finite floats; ``key`` cells are
-    stripped and must be distinct. Every DataError names the path, and the
-    row and column where one applies.
+    stripped and must be non-empty and distinct. Every DataError names the
+    path, and the row and column where one applies.
     """
     rows = _table_rows(Path(path), required, numeric, key)
     return next(rows), rows
@@ -383,6 +383,8 @@ def _table_rows(path: Path, required: Sequence[str], numeric: Collection[str], k
                 cells[column] = _parse_float(cells[column], path, line, column)
             if key in cells:
                 value = cells[key] = cells[key].strip()
+                if not value:
+                    raise DataError(f"{path}: row {line}, column {key!r}: empty id")
                 if value in seen:
                     raise DataError(f"{path}: row {line}, column {key!r}: duplicate id {value!r}")
                 seen.add(value)

@@ -10,18 +10,16 @@ with one ``fuse`` call on arrays.
 Each run routine derives every random choice from a master seed through
 named substreams keyed by seed index, query id, and purpose ("split",
 "forest", "oracle", "refs", "noise", "bound"). Cells of a sweep therefore
-never share generator state: results are byte-identical whether a sweep
-runs serially, threaded, or one cell at a time, and different protocols
-that reuse a cell (the noise study at b=0, the baseline deltas) reproduce
-its numbers exactly.
+never share generator state: a cell computed on its own reproduces its
+record in a full sweep byte for byte, and different protocols that reuse a
+cell (the noise study at b=0, the baseline deltas) reproduce its numbers
+exactly.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -45,47 +43,18 @@ from .core import (
 from .errors import ValidationError
 from .forest import ForestConfig, TrainedForest
 from .fusion import fuse, regularize_rank_variance, required_rank_variance
-from .rank import SolverConfig, solve_rank_estimate
-from .rankers import OracleRankerConfig, generate_comparisons, make_oracle_ranker
+from .rank import solve_rank_estimate
+from .rankers import OracleRankerConfig, generate_comparisons
 from .seeding import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
 
-THREADS_ENV_VAR = "RANKREFINE_THREADS"
 NOISE_VARIANCE_FLOOR = 1e-9
 MIN_BOUND_SAMPLES = 10_000
 
 DEFAULT_ACCURACIES = tuple(round(0.50 + 0.05 * i, 2) for i in range(11))
 DEFAULT_KS = (10, 20, 30)
 DEFAULT_ALPHAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99)
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else the RANKREFINE_THREADS variable, else 1."""
-    if requested is not None:
-        if requested < 1:
-            raise ValidationError(f"thread count must be >= 1, got {requested}")
-        return requested
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        logger.warning("ignoring non-integer %s=%r", THREADS_ENV_VAR, raw)
-        return 1
-    if value < 1:
-        logger.warning("ignoring non-positive %s=%d", THREADS_ENV_VAR, value)
-        return 1
-    return value
-
-
-def _run_cells(tasks: Sequence[Callable[[], object]], threads: int) -> list:
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +237,8 @@ def _query_comparisons(
     larger k extends a smaller k's sample and a higher accuracy flips a
     subset of a lower accuracy's outcomes rather than redrawing everything.
     """
-    oracle = make_oracle_ranker(
-        OracleRankerConfig(
-            accuracy=accuracy, seed=derive_seed("oracle-seed", master_seed, ctx.seed_index)
-        )
+    oracle = OracleRankerConfig(
+        accuracy=accuracy, seed=derive_seed("oracle-seed", master_seed, ctx.seed_index)
     )
     sets = []
     for qid, y_true in zip(ctx.test.ids, ctx.test.y):
@@ -301,10 +268,9 @@ def _compute_cell(
     accuracy: float,
     k: int,
     master_seed: int,
-    solver_config: SolverConfig,
 ) -> _Cell:
     comparisons = _query_comparisons(ctx, accuracy, k, master_seed)
-    estimates = [solve_rank_estimate(comps, solver_config) for comps in comparisons]
+    estimates = [solve_rank_estimate(comps) for comps in comparisons]
     return _Cell(
         ctx=ctx,
         accuracy=accuracy,
@@ -322,26 +288,20 @@ def _run_grid(
     dataset: Dataset,
     grid: SweepGrid,
     forest_config: ForestConfig,
-    solver_config: SolverConfig,
     master_seed: int,
-    threads: int | None,
     reduce: Callable[[_Cell], object],
 ) -> list:
     """Reduce every cell of the grid: seeds outermost, then accuracies, then ks."""
-    workers = thread_count(threads)
     contexts = [
         _build_seed_context(dataset, i, master_seed, grid.train_size, forest_config)
         for i in range(grid.seeds)
     ]
-    tasks = [
-        lambda ctx=ctx, a=accuracy, kk=k: reduce(
-            _compute_cell(ctx, a, kk, master_seed, solver_config)
-        )
+    return [
+        reduce(_compute_cell(ctx, accuracy, k, master_seed))
         for ctx in contexts
         for accuracy in grid.accuracies
         for k in grid.ks
     ]
-    return _run_cells(tasks, workers)
 
 
 def _fused_mae(ctx: _SeedContext, rank: Estimate) -> float:
@@ -368,41 +328,23 @@ def _sweep_record(cell: _Cell, dataset_name: str, clamp_c: float) -> SweepRecord
     )
 
 
-def _cell_record(
-    ctx: _SeedContext,
-    dataset_name: str,
-    accuracy: float,
-    k: int,
-    clamp_c: float,
-    master_seed: int,
-    solver_config: SolverConfig,
-) -> SweepRecord:
-    """The sweep record of one cell, computed on its own."""
-    cell = _compute_cell(ctx, accuracy, k, master_seed, solver_config)
-    return _sweep_record(cell, dataset_name, clamp_c)
-
-
 def run_oracle_sweep(
     dataset: Dataset,
     grid: SweepGrid = SweepGrid(),
     forest_config: ForestConfig = ForestConfig(),
-    solver_config: SolverConfig = SolverConfig(),
     master_seed: int = 0,
-    threads: int | None = None,
 ) -> list[SweepRecord]:
     """Run the full (seed, accuracy, k) grid of simulated-ranker pipelines.
 
     Order of records: seeds outermost, then accuracies, then ks, matching
     the construction order of the grid. Deterministic in (dataset, grid,
-    configs, master_seed) regardless of the thread count.
+    forest_config, master_seed).
     """
     return _run_grid(
         dataset,
         grid,
         forest_config,
-        solver_config,
         master_seed,
-        threads,
         lambda cell: _sweep_record(cell, dataset.name, grid.clamp_c),
     )
 
@@ -429,9 +371,7 @@ def run_baseline_delta(
     grid: SweepGrid,
     method: str,
     forest_config: ForestConfig = ForestConfig(),
-    solver_config: SolverConfig = SolverConfig(),
     master_seed: int = 0,
-    threads: int | None = None,
 ) -> list[BaselineDeltaRecord]:
     """Compare fusion against a baseline refiner on shared comparisons.
 
@@ -482,9 +422,7 @@ def run_baseline_delta(
             delta=beta_fused - beta_baseline,
         )
 
-    return _run_grid(
-        dataset, grid, forest_config, solver_config, master_seed, threads, delta_record
-    )
+    return _run_grid(dataset, grid, forest_config, master_seed, delta_record)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +464,6 @@ def run_noise_sweep(
     seeds: int = 5,
     train_size: int = 50,
     forest_config: ForestConfig = ForestConfig(),
-    solver_config: SolverConfig = SolverConfig(),
     master_seed: int = 0,
 ) -> NoiseSweepResult:
     """Measure how fusion degrades as rank variances are mis-stated.
@@ -560,7 +497,7 @@ def run_noise_sweep(
             )
         return records, cell.rank.variance
 
-    per_seed = _run_grid(dataset, grid, forest_config, solver_config, master_seed, 1, seed_records)
+    per_seed = _run_grid(dataset, grid, forest_config, master_seed, seed_records)
     pooled = np.concatenate([variances for _, variances in per_seed])
     return NoiseSweepResult(
         records=tuple(record for records, _ in per_seed for record in records),

@@ -26,40 +26,14 @@ logger = logging.getLogger(__name__)
 # and the variance is capped instead of inverted.
 CURVATURE_UNDERFLOW = 1e-300
 VARIANCE_CAP = 1e12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Controls for the one-dimensional likelihood solve.
-
-    The search domain is the label range widened by ``domain_margin_factor``
-    times its width (a width of 1 is used when all labels coincide), so the
-    estimate can land outside the observed labels but not arbitrarily far.
-    """
-
-    tolerance: float = 1e-8
-    max_iterations: int = 200
-    domain_margin_factor: float = 1.0
-    variance_cap: float = VARIANCE_CAP
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.max_iterations < 1:
-            raise ValidationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if not (
-            math.isfinite(self.domain_margin_factor)
-            and self.domain_margin_factor >= 0.0
-        ):
-            raise ValidationError(
-                f"domain_margin_factor must be >= 0, got {self.domain_margin_factor!r}"
-            )
-        if not (math.isfinite(self.variance_cap) and self.variance_cap > 0.0):
-            raise ValidationError(
-                f"variance_cap must be positive, got {self.variance_cap!r}"
-            )
+# The solve stops once the NLL derivative is within TOLERANCE of zero, or
+# after MAX_ITERATIONS bisection steps.
+TOLERANCE = 1e-8
+MAX_ITERATIONS = 200
+# The search domain is the label range widened by DOMAIN_MARGIN times its
+# width (a width of 1 is used when all labels coincide), so the estimate can
+# land outside the observed labels but not arbitrarily far.
+DOMAIN_MARGIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -106,7 +80,7 @@ def _nll_derivative(candidate: float, comparisons: ComparisonSet) -> float:
     return float(np.sum(above) - np.sum(below))
 
 
-def search_domain(comparisons: ComparisonSet, margin_factor: float) -> tuple[float, float]:
+def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
     """The closed interval the solver searches over."""
     labels = comparisons.all_labels()
     lo = float(np.min(labels))
@@ -114,38 +88,35 @@ def search_domain(comparisons: ComparisonSet, margin_factor: float) -> tuple[flo
     width = hi - lo
     if width == 0.0:
         width = 1.0
-    return lo - margin_factor * width, hi + margin_factor * width
+    return lo - DOMAIN_MARGIN * width, hi + DOMAIN_MARGIN * width
 
 
-def solve_rank_estimate(
-    comparisons: ComparisonSet,
-    config: SolverConfig = SolverConfig(),
-) -> RankEstimate:
+def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
     """Minimize the comparison NLL over the search domain.
 
     Bisection on the monotone derivative, run until the derivative magnitude
-    falls below ``config.tolerance`` or the bracket collapses. When every
+    falls below ``TOLERANCE`` or the bracket collapses. When every
     comparison points one way the minimum sits at a domain boundary and the
     estimate is returned with ``clamped=True``.
     """
     _require_nonempty(comparisons)
-    lo, hi = search_domain(comparisons, config.domain_margin_factor)
+    lo, hi = search_domain(comparisons)
     d_lo = _nll_derivative(lo, comparisons)
     d_hi = _nll_derivative(hi, comparisons)
 
     if d_lo >= 0.0:
         # NLL is nondecreasing on the whole domain: minimum at the left edge.
         value = lo
-        clamped = d_lo > config.tolerance
+        clamped = d_lo > TOLERANCE
     elif d_hi <= 0.0:
         value = hi
-        clamped = d_hi < -config.tolerance
+        clamped = d_hi < -TOLERANCE
     else:
         value = 0.5 * (lo + hi)
         clamped = False
-        for _ in range(config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             d_mid = _nll_derivative(value, comparisons)
-            if abs(d_mid) <= config.tolerance:
+            if abs(d_mid) <= TOLERANCE:
                 break
             if d_mid < 0.0:
                 lo = value
@@ -158,7 +129,7 @@ def solve_rank_estimate(
                 break
             value = mid
 
-    variance = fisher_variance(value, comparisons, cap=config.variance_cap)
+    variance = fisher_variance(value, comparisons)
     return RankEstimate(
         value=value,
         variance=variance,
@@ -167,17 +138,13 @@ def solve_rank_estimate(
     )
 
 
-def fisher_variance(
-    solution: float,
-    comparisons: ComparisonSet,
-    cap: float = VARIANCE_CAP,
-) -> float:
+def fisher_variance(solution: float, comparisons: ComparisonSet) -> float:
     """Inverse observed Fisher information at the solution.
 
     The information is the sum of sigmoid(d)*(1 - sigmoid(d)) over all
     comparison gaps d = solution - label. When every gap is saturated the
-    sum underflows; the variance is then capped at ``cap`` and the event is
-    logged rather than raising.
+    sum underflows; the variance is then capped at ``VARIANCE_CAP`` and the
+    event is logged rather than raising.
     """
     _require_nonempty(comparisons)
     if not math.isfinite(solution):
@@ -191,7 +158,7 @@ def fisher_variance(
             "fisher information underflowed (all %d comparison gaps saturated); "
             "capping variance at %g",
             len(comparisons),
-            cap,
+            VARIANCE_CAP,
         )
-        return cap
-    return min(1.0 / information, cap)
+        return VARIANCE_CAP
+    return min(1.0 / information, VARIANCE_CAP)

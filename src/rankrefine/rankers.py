@@ -26,16 +26,12 @@ from .core import (
     LabeledReference,
     ReferenceSet,
     read_table,
+    write_table,
 )
 from .errors import DataError, TransportError, ValidationError
 from .seeding import unit_uniform
 
 logger = logging.getLogger(__name__)
-
-# A ranker maps (query_id, query_value, reference, pair_index) to an outcome.
-# The pair index identifies the comparison within the query's batch so that
-# stateless rankers can derive independent randomness per pair.
-Ranker = Callable[[str, float, LabeledReference, int], ComparisonOutcome]
 
 COMPARISONS_HEADER = ("query_id", "ref_id", "outcome")
 
@@ -96,31 +92,21 @@ def oracle_compare(
     return ComparisonOutcome(query_id=query_id, ref_id=reference.id, query_above=query_above)
 
 
-def make_oracle_ranker(config: OracleRankerConfig) -> Ranker:
-    """Adapt an oracle config to the common ranker callable shape."""
-
-    def ranker(
-        query_id: str, y_query: float, reference: LabeledReference, pair_index: int
-    ) -> ComparisonOutcome:
-        return oracle_compare(query_id, y_query, reference, config, pair_index)
-
-    return ranker
-
-
 def generate_comparisons(
     query_id: str,
     y_query: float,
     references: ReferenceSet,
     k: int,
-    ranker: Ranker,
+    config: OracleRankerConfig,
     rng: np.random.Generator,
 ) -> ComparisonSet:
-    """Ask the ranker to judge the query against k sampled references.
+    """Ask the oracle to judge the query against k sampled references.
 
     References tying the query's value are ineligible (no correct answer
     exists for them). The k references are the first k of a permutation of
     the eligible pool drawn from ``rng``, so with the same generator state a
-    larger k extends the smaller k's sample rather than replacing it.
+    larger k extends the smaller k's sample rather than replacing it. The
+    i-th chosen reference is judged with pair index i.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -136,7 +122,7 @@ def generate_comparisons(
         )
     order = rng.permutation(len(eligible))
     chosen = [eligible[i] for i in order[:k]]
-    outcomes = [ranker(query_id, y_query, ref, i) for i, ref in enumerate(chosen)]
+    outcomes = [oracle_compare(query_id, y_query, ref, config, i) for i, ref in enumerate(chosen)]
     return ComparisonSet.from_outcomes(outcomes, references.labels_by_id())
 
 
@@ -152,8 +138,8 @@ def load_comparisons_csv(
 
     Expected header: ``query_id,ref_id,outcome`` with outcome 1 meaning the
     query is above the reference. Unknown reference ids, repeated pairs, and
-    outcomes other than 0/1 are data errors. File order is preserved within
-    each query.
+    outcomes other than 0/1 are data errors that name the file line. File
+    order is preserved within each query.
     """
     path = Path(path)
     header, rows = read_table(path)
@@ -161,42 +147,44 @@ def load_comparisons_csv(
         raise DataError(
             f"{path}: expected header {','.join(COMPARISONS_HEADER)}, got {','.join(header)}"
         )
-    grouped: dict[str, list[ComparisonOutcome]] = {}
+    # query id -> reference id -> query_above, in file order
+    grouped: dict[str, dict[str, bool]] = {}
     for line, cells in rows:
         query_id, ref_id, outcome = (cells[column].strip() for column in COMPARISONS_HEADER)
         if outcome not in ("0", "1"):
             raise DataError(
                 f"{path}: row {line}, column 'outcome': outcome must be 0 or 1, got {outcome!r}"
             )
-        grouped.setdefault(query_id, []).append(
-            ComparisonOutcome(query_id=query_id, ref_id=ref_id, query_above=outcome == "1")
-        )
+        if ref_id not in labels_by_id:
+            raise DataError(
+                f"{path}: row {line}, column 'ref_id': unknown reference id {ref_id!r}"
+            )
+        judged = grouped.setdefault(query_id, {})
+        if ref_id in judged:
+            raise DataError(
+                f"{path}: row {line}, column 'ref_id': duplicate comparison for pair "
+                f"{(query_id, ref_id)}"
+            )
+        judged[ref_id] = outcome == "1"
     try:
         return {
-            qid: ComparisonSet.from_outcomes(outs, labels_by_id)
-            for qid, outs in grouped.items()
+            qid: ComparisonSet.from_outcomes(
+                [ComparisonOutcome(qid, ref_id, above) for ref_id, above in judged.items()],
+                labels_by_id,
+            )
+            for qid, judged in grouped.items()
         }
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def save_comparisons_csv(
-    outcomes: Iterable[ComparisonOutcome],
-    path_or_handle: str | Path | TextIO,
-) -> None:
+def save_comparisons_csv(outcomes: Iterable[ComparisonOutcome], path: str | Path) -> None:
     """Write outcomes in the ``query_id,ref_id,outcome`` format."""
-
-    def write(handle: TextIO) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMPARISONS_HEADER)
-        for out in outcomes:
-            writer.writerow([out.query_id, out.ref_id, "1" if out.query_above else "0"])
-
-    if isinstance(path_or_handle, (str, Path)):
-        with open(path_or_handle, "w", newline="") as handle:
-            write(handle)
-    else:
-        write(path_or_handle)
+    write_table(
+        path,
+        COMPARISONS_HEADER,
+        ([out.query_id, out.ref_id, "1" if out.query_above else "0"] for out in outcomes),
+    )
 
 
 # ---------------------------------------------------------------------------

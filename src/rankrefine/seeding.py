@@ -3,8 +3,7 @@
 Every random decision in the package flows from a master seed through a
 named substream. Substreams are derived by hashing the name parts, not by
 drawing from a shared generator, so results never depend on execution
-order or on how work is divided across threads, and any one piece of a
-larger run can be replayed in isolation.
+order, and any one piece of a larger run can be replayed in isolation.
 """
 
 from __future__ import annotations

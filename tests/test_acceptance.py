@@ -28,8 +28,9 @@ from rankrefine.experiments import (
     DEFAULT_ACCURACIES,
     SweepGrid,
     _build_seed_context,
-    _cell_record,
+    _compute_cell,
     _query_comparisons,
+    _sweep_record,
     make_synthetic_dataset,
     run_baseline_delta,
     run_noise_sweep,
@@ -39,7 +40,7 @@ from rankrefine.experiments import (
 )
 from rankrefine.forest import ForestConfig
 from rankrefine.fusion import fuse
-from rankrefine.rank import SolverConfig, fisher_variance, search_domain, solve_rank_estimate
+from rankrefine.rank import fisher_variance, search_domain, solve_rank_estimate
 from rankrefine.rankers import llm_rank_batch, load_replay_transport, LlmRankerConfig
 
 from conftest import ACCEPTANCE_LINES
@@ -63,7 +64,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def full_sweep(dataset):
     grid = SweepGrid(accuracies=DEFAULT_ACCURACIES, ks=(10, 20, 30), seeds=5)
-    return run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED, threads=4)
+    return run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED)
 
 
 def _mean_beta(records, accuracy, k):
@@ -140,7 +141,7 @@ class TestCriterion3SolverEquivalence:
         for _ in range(100):
             cs = _random_two_sided(rng)
             est = solve_rank_estimate(cs)
-            lo, hi = search_domain(cs, 1.0)
+            lo, hi = search_domain(cs)
             grid = np.arange(lo, hi + 1e-4, 1e-4)
             best = float(grid[int(np.argmin(_grid_nll(cs, grid)))])
             worst_gap = max(worst_gap, abs(est.value - best))
@@ -214,7 +215,7 @@ class TestCriterion6ProjectionBaseline:
     def test_projection_never_hurts_and_fusion_beats_it(self, dataset):
         grid = SweepGrid(accuracies=(0.7, 1.0), ks=(30,), seeds=5)
         records = run_baseline_delta(
-            dataset, grid, method="projection", master_seed=MASTER_SEED, threads=4
+            dataset, grid, method="projection", master_seed=MASTER_SEED
         )
         perfect = [r for r in records if r.accuracy == 1.0]
         never_hurts = all(r.beta_baseline <= 1.0 for r in perfect)
@@ -292,7 +293,7 @@ class TestCriterion8LlmPathway:
 
         # End-to-end with a simulated ranker at the user-study accuracy level.
         grid = SweepGrid(accuracies=(0.62,), ks=(20,), seeds=5)
-        records = run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED, threads=4)
+        records = run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED)
         beta_62 = float(np.mean([r.beta for r in records]))
 
         truth = dict(zip(dataset.ids, (float(v) for v in dataset.y)))
@@ -315,14 +316,12 @@ class TestCriterion8LlmPathway:
 
 
 class TestCriterion9Determinism:
-    def test_isolated_cell_rerun_and_parallel_equality(self, dataset, full_sweep):
+    def test_isolated_cell_and_rerun_equality(self, dataset, full_sweep):
         target = next(
             r for r in full_sweep if r.seed == 3 and r.accuracy == 0.8 and r.k == 20
         )
         ctx = _build_seed_context(dataset, 3, MASTER_SEED, 50, ForestConfig())
-        isolated = _cell_record(
-            ctx, dataset.name, 0.8, 20, 0.0, MASTER_SEED, SolverConfig()
-        )
+        isolated = _sweep_record(_compute_cell(ctx, 0.8, 20, MASTER_SEED), dataset.name, 0.0)
         cell_ok = isolated == target
 
         def _bytes(records, tmp):
@@ -340,14 +339,14 @@ class TestCriterion9Determinism:
             bytes_ok = a_path.read_bytes() == b_path.read_bytes()
 
         grid = SweepGrid(accuracies=(0.55, 0.8), ks=(10, 30), seeds=2)
-        serial = run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED, threads=1)
-        threaded = run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED, threads=4)
-        parallel_ok = serial == threaded
+        first = run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED)
+        second = run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED)
+        rerun_ok = first == second
 
         _report(
             9,
-            cell_ok and bytes_ok and parallel_ok,
+            cell_ok and bytes_ok and rerun_ok,
             f"determinism: cell (seed 3, acc 0.8, k 20) rerun in isolation "
             f"reproduces its record byte-identically: {cell_ok and bytes_ok}; "
-            f"serial and 4-thread sweeps agree on every record: {parallel_ok}",
+            f"two runs of the same sweep agree on every record: {rerun_ok}",
         )

@@ -14,7 +14,6 @@ from rankrefine.experiments import (
     run_noise_sweep,
     run_oracle_sweep,
     synthetic_target,
-    thread_count,
     validate_bound,
     write_baseline_csv,
     write_bound_csv,
@@ -70,30 +69,6 @@ class TestSyntheticData:
             make_synthetic_dataset(noise_sd=-1.0)
 
 
-class TestThreadCount:
-    def test_explicit_request_wins(self, monkeypatch):
-        monkeypatch.setenv("RANKREFINE_THREADS", "7")
-        assert thread_count(3) == 3
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("RANKREFINE_THREADS", "5")
-        assert thread_count() == 5
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("RANKREFINE_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("RANKREFINE_THREADS", "many")
-        assert thread_count() == 1
-        monkeypatch.setenv("RANKREFINE_THREADS", "0")
-        assert thread_count() == 1
-
-    def test_invalid_request_rejected(self):
-        with pytest.raises(ValidationError):
-            thread_count(0)
-
-
 class TestValidateBound:
     def test_small_run_tracks_targets(self):
         results = validate_bound(alphas=(0.3, 0.7), n_samples=60_000, seed=1)
@@ -132,16 +107,6 @@ class TestOracleSweep:
             SweepGrid(seeds=0)
         with pytest.raises(ValidationError):
             SweepGrid(clamp_c=-0.1)
-
-    def test_parallelism_does_not_change_results(self):
-        ds = _fast_dataset()
-        serial = run_oracle_sweep(
-            ds, FAST_GRID, forest_config=FAST_FOREST, master_seed=1, threads=1
-        )
-        parallel = run_oracle_sweep(
-            ds, FAST_GRID, forest_config=FAST_FOREST, master_seed=1, threads=4
-        )
-        assert serial == parallel
 
     def test_master_seed_changes_results(self):
         ds = _fast_dataset()

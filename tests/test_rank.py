@@ -10,7 +10,6 @@ from rankrefine.core import ComparisonOutcome, ComparisonSet
 from rankrefine.errors import ValidationError
 from rankrefine.rank import (
     RankEstimate,
-    SolverConfig,
     bt_nll,
     fisher_variance,
     search_domain,
@@ -75,12 +74,12 @@ class TestNll:
 class TestSearchDomain:
     def test_widened_by_margin(self):
         cs = _comparison_set(below=[0.0], above=[4.0])
-        lo, hi = search_domain(cs, margin_factor=1.0)
+        lo, hi = search_domain(cs)
         assert (lo, hi) == (-4.0, 8.0)
 
     def test_degenerate_range_uses_unit_width(self):
         cs = _comparison_set(below=[2.0, 2.0])
-        lo, hi = search_domain(cs, margin_factor=1.0)
+        lo, hi = search_domain(cs)
         assert (lo, hi) == (1.0, 3.0)
 
 
@@ -100,21 +99,21 @@ class TestSolver:
             split = int(rng.integers(1, k))  # both sides non-empty
             cs = _comparison_set(below=labels[:split], above=labels[split:])
             est = solve_rank_estimate(cs)
-            lo, hi = search_domain(cs, 1.0)
+            lo, hi = search_domain(cs)
             assert abs(est.value - _grid_minimum(cs, lo, hi)) <= 1e-3
             assert not est.clamped
 
     def test_one_sided_below_clamps_high(self):
         cs = _comparison_set(below=[0.0, 1.0, 2.0])
         est = solve_rank_estimate(cs)
-        _, hi = search_domain(cs, 1.0)
+        _, hi = search_domain(cs)
         assert est.clamped
         assert est.value == hi
 
     def test_one_sided_above_clamps_low(self):
         cs = _comparison_set(above=[0.0, 1.0])
         est = solve_rank_estimate(cs)
-        lo, _ = search_domain(cs, 1.0)
+        lo, _ = search_domain(cs)
         assert est.clamped
         assert est.value == lo
 
@@ -132,14 +131,6 @@ class TestSolver:
     def test_empty_comparisons_rejected(self):
         with pytest.raises(ValidationError):
             solve_rank_estimate(_comparison_set())
-
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(tolerance=0.0)
-        with pytest.raises(ValidationError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(ValidationError):
-            SolverConfig(variance_cap=-1.0)
 
 
 class TestFisherVariance:

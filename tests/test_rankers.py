@@ -20,7 +20,6 @@ from rankrefine.rankers import (
     load_comparisons_csv,
     load_replay_transport,
     make_http_transport,
-    make_oracle_ranker,
     oracle_compare,
     parse_ranking_response,
     render_prompt,
@@ -98,36 +97,36 @@ class TestOracle:
 class TestGenerateComparisons:
     def test_draws_k_distinct_references(self):
         refs = _refs(range(30))
-        ranker = make_oracle_ranker(OracleRankerConfig(accuracy=1.0))
-        cs = generate_comparisons("q", 7.5, refs, 10, ranker, derive_rng("refs", 0))
+        oracle = OracleRankerConfig(accuracy=1.0)
+        cs = generate_comparisons("q", 7.5, refs, 10, oracle, derive_rng("refs", 0))
         assert len(cs.outcomes) == 10
         assert len({o.ref_id for o in cs.outcomes}) == 10
 
     def test_smaller_k_is_a_prefix_of_larger(self):
         refs = _refs(range(30))
-        ranker = make_oracle_ranker(OracleRankerConfig(accuracy=1.0))
-        small = generate_comparisons("q", 7.5, refs, 5, ranker, derive_rng("refs", 1))
-        large = generate_comparisons("q", 7.5, refs, 15, ranker, derive_rng("refs", 1))
+        oracle = OracleRankerConfig(accuracy=1.0)
+        small = generate_comparisons("q", 7.5, refs, 5, oracle, derive_rng("refs", 1))
+        large = generate_comparisons("q", 7.5, refs, 15, oracle, derive_rng("refs", 1))
         small_ids = [o.ref_id for o in small.outcomes]
         large_ids = [o.ref_id for o in large.outcomes]
         assert large_ids[:5] == small_ids
 
     def test_ties_excluded_from_pool(self, caplog):
         refs = _refs([1.0, 2.0, 2.0, 3.0])
-        ranker = make_oracle_ranker(OracleRankerConfig(accuracy=1.0))
+        oracle = OracleRankerConfig(accuracy=1.0)
         with caplog.at_level("WARNING", logger="rankrefine.rankers"):
-            cs = generate_comparisons("q", 2.0, refs, 2, ranker, derive_rng("refs", 2))
+            cs = generate_comparisons("q", 2.0, refs, 2, oracle, derive_rng("refs", 2))
         assert len(cs.outcomes) == 2
         assert all(o.ref_id in ("ref0", "ref3") for o in cs.outcomes)
         assert any("tied" in r.getMessage() for r in caplog.records)
 
     def test_k_beyond_pool_rejected(self):
         refs = _refs([1.0, 2.0])
-        ranker = make_oracle_ranker(OracleRankerConfig(accuracy=1.0))
+        oracle = OracleRankerConfig(accuracy=1.0)
         with pytest.raises(ValidationError):
-            generate_comparisons("q", 5.0, refs, 3, ranker, derive_rng("refs", 3))
+            generate_comparisons("q", 5.0, refs, 3, oracle, derive_rng("refs", 3))
         with pytest.raises(ValidationError):
-            generate_comparisons("q", 5.0, refs, 0, ranker, derive_rng("refs", 3))
+            generate_comparisons("q", 5.0, refs, 0, oracle, derive_rng("refs", 3))
 
 
 class TestComparisonsCsv:

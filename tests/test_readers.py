@@ -28,31 +28,38 @@ CASES = [
     ("predictions", "var_reg zero", "id,y_reg,var_reg\nq1,1.0,0.0\n", ["row 2", "'var_reg'"]),
     ("predictions", "var_reg negative", "id,y_reg,var_reg\n\nq1,1.0,-2\n",
      ["row 3", "'var_reg'"]),
+    ("predictions", "empty id", "id,y_reg,var_reg\nq1,1.0,1.0\n,2.0,1.0\n",
+     ["row 3", "column 'id': empty id"]),
     ("references", "empty", "\n\n", ["empty file"]),
     ("references", "missing column", "id,label\nr1,1.0\n", ["'y'"]),
     ("references", "short row", "id,y\nr1\n", ["row 2"]),
     ("references", "unparsable", "id,y\nA,1.0\n\nB,foo\n", ["row 4", "'y'", "'foo'"]),
     ("references", "non-finite", "id,y\nr1,nan\n", ["row 2", "'y'"]),
     ("references", "duplicate id", "id,y\nr1,1.0\nr2,2.0\nr1,3.0\n", ["row 4", "'id'"]),
+    ("references", "empty id", "id,y\n,1.0\n", ["row 2", "column 'id': empty id"]),
     ("dataset", "empty", "", ["empty file"]),
     ("dataset", "missing column", "id,x0\na,0.5\n", ["'y'"]),
     ("dataset", "short row", "id,x0,y\na,0.5,1.0\nb,0.5\n", ["row 3"]),
     ("dataset", "unparsable", "id,x0,y\na,hello,1.0\n", ["row 2", "'x0'", "'hello'"]),
     ("dataset", "non-finite", "id,x0,y\n\n\na,0.5,-inf\n", ["row 4", "'y'"]),
     ("dataset", "duplicate id", "id,x0,y\na,0.5,1.0\na,0.6,2.0\n", ["row 3", "'id'"]),
+    ("dataset", "empty id", "id,x0,y\na,0.5,1.0\n ,0.6,2.0\n", ["row 3", "column 'id': empty id"]),
     ("comparisons", "empty", "", ["empty file"]),
     ("comparisons", "missing column", "query_id,ref_id\nq,r1\n", ["outcome"]),
     ("comparisons", "short row", "query_id,ref_id,outcome\nq,r1,1\nq,r2\n", ["row 3"]),
     ("comparisons", "unparsable", "query_id,ref_id,outcome\n\nq,r1,maybe\n",
      ["row 3", "'outcome'", "'maybe'"]),
     ("comparisons", "duplicate pair", "query_id,ref_id,outcome\nq,r1,1\nq,r1,0\n",
-     ["duplicate", "'r1'"]),
+     ["row 3", "column 'ref_id'", "duplicate", "'r1'"]),
+    ("comparisons", "unknown ref", "query_id,ref_id,outcome\nq,r1,1\n\nq,r9,0\n",
+     ["row 4", "column 'ref_id'", "unknown", "'r9'"]),
     ("queries", "empty", "", ["empty file"]),
     ("queries", "missing column", "name,y\nq1,1.0\n", ["'id'"]),
     ("queries", "short row", "id,y,text\nq1,1.0\n", ["row 2"]),
     ("queries", "unparsable", "id,y\nq1,1.0\n\nq2,abc\n", ["row 4", "'y'", "'abc'"]),
     ("queries", "non-finite", "id,y\nq1,inf\n", ["row 2", "'y'"]),
     ("queries", "duplicate id", "id,text\nq1,a\nq1,b\n", ["row 3", "'id'"]),
+    ("queries", "empty id", "id,text\n,a\n", ["row 2", "column 'id': empty id"]),
 ]
 
 
@@ -95,3 +102,16 @@ def test_refine_exits_3_on_malformed_predictions(content, tmp_path, capsys):
     ])
     assert code == 3
     assert str(predictions) in capsys.readouterr().err
+
+
+def test_rank_oracle_exits_3_on_empty_query_id(tmp_path, capsys):
+    queries = tmp_path / "queries.csv"
+    queries.write_text("id,y\nq1,0.5\n,1.0\n")
+    references = tmp_path / "refs.csv"
+    references.write_text("id,y\nr1,0.0\nr2,2.0\n")
+    code = main([
+        "rank", "--source", "oracle", "--queries", str(queries),
+        "--references", str(references), "--k", "2", "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 3
+    assert f"{queries}: row 3, column 'id': empty id" in capsys.readouterr().err
