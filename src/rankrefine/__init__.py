@@ -37,14 +37,11 @@ from .forest import (
     ForestConfig,
     TrainedForest,
     fit,
-    load_forest,
     predict_with_variance,
-    save_forest,
 )
 from .fusion import (
     FusedEstimate,
     fuse,
-    mae_of_sigma,
     regularize_rank_variance,
     required_rank_variance,
 )
@@ -110,10 +107,8 @@ __all__ = [
     "llm_rank_batch",
     "load_comparisons_csv",
     "load_dataset_csv",
-    "load_forest",
     "load_references_csv",
     "mae",
-    "mae_of_sigma",
     "make_synthetic_dataset",
     "oracle_compare",
     "pra",
@@ -128,7 +123,6 @@ __all__ = [
     "run_oracle_sweep",
     "save_comparisons_csv",
     "save_dataset_csv",
-    "save_forest",
     "solve_rank_estimate",
     "validate_bound",
 ]

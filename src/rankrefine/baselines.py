@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -67,26 +66,20 @@ def projection_refine(y_pred: float, comparisons: ComparisonSet) -> float:
     return min(max(y_pred, interval.lower), interval.upper)
 
 
-def inverse_distance_weight(distance: float) -> float:
-    """Default neighbor weight: 1 / (1 + distance)."""
-    return 1.0 / (1.0 + distance)
-
-
 def rbr_refine(
     query_features: np.ndarray,
     query_pred: float,
     train: Dataset,
     train_preds: np.ndarray,
     k: int,
-    weighting: Callable[[float], float] = inverse_distance_weight,
 ) -> float:
     """Smooth a prediction toward its k nearest training neighbors' predictions.
 
     The refined value is the weighted mean of the query's own prediction
     (weight 1) and the model's predictions for the k training rows closest
-    to the query in Euclidean feature distance. Neighbor ties at the cutoff
-    are broken by training-row order. ``k=0`` returns the prediction
-    unchanged.
+    to the query in Euclidean feature distance d, each weighted 1 / (1 + d).
+    Neighbor ties at the cutoff are broken by training-row order. ``k=0``
+    returns the prediction unchanged.
     """
     if not math.isfinite(query_pred):
         raise ValidationError(f"prediction must be finite, got {query_pred!r}")
@@ -108,9 +101,7 @@ def rbr_refine(
         )
     distances = np.sqrt(np.sum((train.features - query) ** 2, axis=1))
     nearest = np.argsort(distances, kind="stable")[:k]
-    weights = np.array([weighting(float(distances[i])) for i in nearest])
-    if np.any(~np.isfinite(weights)) or np.any(weights < 0.0):
-        raise ValidationError("neighbor weights must be finite and non-negative")
+    weights = 1.0 / (1.0 + distances[nearest])
     numerator = query_pred + float(np.sum(weights * preds[nearest]))
     denominator = 1.0 + float(np.sum(weights))
     return numerator / denominator

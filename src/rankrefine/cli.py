@@ -44,7 +44,7 @@ from .experiments import (
     write_noise_csv,
     write_sweep_csv,
 )
-from .fusion import fuse, regularize_rank_variance
+from .fusion import check_clamp_c, fuse, regularize_rank_variance
 from .rank import solve_rank_estimate
 from .rankers import (
     LlmRankerConfig,
@@ -180,6 +180,7 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_refine(args: argparse.Namespace) -> None:
+    check_clamp_c(args.clamp_c)
     ids, reg = _load_predictions(args.predictions)
     references = load_references_csv(args.references)
     comparison_map = load_comparisons_csv(args.comparisons, references.labels_by_id())
@@ -277,6 +278,8 @@ def _rank_interactive(args: argparse.Namespace) -> None:
 
 
 def _rank_llm(args: argparse.Namespace) -> None:
+    if args.k < 0:
+        raise ValidationError(f"k must be >= 0 (0 means every reference), got {args.k}")
     query_ids, query_texts, _ = _load_table(args.queries)
     ref_ids, ref_texts, ref_labels = _load_table(args.references)
     for qid in query_ids:
@@ -449,7 +452,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", help="CSV of references (id,y; text for llm/interactive)")
     p.add_argument("--comparisons", help="existing comparisons CSV (file source)")
     p.add_argument("--out", required=True, help="output comparisons CSV")
-    p.add_argument("--k", type=int, default=20, help="references compared per query")
+    p.add_argument(
+        "--k",
+        type=int,
+        default=20,
+        help="references compared per query (llm: 0 means every reference)",
+    )
     p.add_argument("--seed", type=int, default=0, help="sampling / oracle seed")
     p.add_argument("--accuracy", type=float, default=0.8, help="oracle accuracy")
     p.add_argument("--property", default="the property of interest", help="property name")

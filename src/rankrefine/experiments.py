@@ -42,7 +42,7 @@ from .core import (
 )
 from .errors import ValidationError
 from .forest import ForestConfig, TrainedForest
-from .fusion import fuse, regularize_rank_variance, required_rank_variance
+from .fusion import check_clamp_c, fuse, regularize_rank_variance, required_rank_variance
 from .rank import solve_rank_estimate
 from .rankers import OracleRankerConfig, generate_comparisons
 from .seeding import derive_rng, derive_seed
@@ -162,8 +162,7 @@ class SweepGrid:
             raise ValidationError(f"seeds must be >= 1, got {self.seeds}")
         if self.train_size < 2:
             raise ValidationError(f"train_size must be >= 2, got {self.train_size}")
-        if not (math.isfinite(self.clamp_c) and self.clamp_c >= 0.0):
-            raise ValidationError(f"clamp_c must be >= 0 (0 disables), got {self.clamp_c!r}")
+        check_clamp_c(self.clamp_c)
 
 
 @dataclass(frozen=True)
@@ -224,29 +223,6 @@ def _build_seed_context(
     )
 
 
-def _query_comparisons(
-    ctx: _SeedContext,
-    accuracy: float,
-    k: int,
-    master_seed: int,
-) -> list[ComparisonSet]:
-    """Comparison sets for every test query at one (accuracy, k) cell.
-
-    The reference permutation for a query depends only on (master seed, seed
-    index, query id), so cells at the same seed share reference samples: a
-    larger k extends a smaller k's sample and a higher accuracy flips a
-    subset of a lower accuracy's outcomes rather than redrawing everything.
-    """
-    oracle = OracleRankerConfig(
-        accuracy=accuracy, seed=derive_seed("oracle-seed", master_seed, ctx.seed_index)
-    )
-    sets = []
-    for qid, y_true in zip(ctx.test.ids, ctx.test.y):
-        rng = derive_rng("refs", master_seed, ctx.seed_index, qid)
-        sets.append(generate_comparisons(qid, float(y_true), ctx.references, k, oracle, rng))
-    return sets
-
-
 @dataclass(frozen=True, eq=False)
 class _Cell:
     """One (seed, accuracy, k) cell: per-query arrays in test-split order.
@@ -269,7 +245,22 @@ def _compute_cell(
     k: int,
     master_seed: int,
 ) -> _Cell:
-    comparisons = _query_comparisons(ctx, accuracy, k, master_seed)
+    """Compare every test query with k references at one accuracy, then solve.
+
+    The reference permutation for a query depends only on (master seed, seed
+    index, query id), so cells at the same seed share reference samples: a
+    larger k extends a smaller k's sample and a higher accuracy flips a
+    subset of a lower accuracy's outcomes rather than redrawing everything.
+    """
+    oracle = OracleRankerConfig(
+        accuracy=accuracy, seed=derive_seed("oracle-seed", master_seed, ctx.seed_index)
+    )
+    comparisons = []
+    for qid, y_true in zip(ctx.test.ids, ctx.test.y):
+        rng = derive_rng("refs", master_seed, ctx.seed_index, qid)
+        comparisons.append(
+            generate_comparisons(qid, float(y_true), ctx.references, k, oracle, rng)
+        )
     estimates = [solve_rank_estimate(comps) for comps in comparisons]
     return _Cell(
         ctx=ctx,

@@ -2,68 +2,43 @@
 
 Written from scratch so the split rule, tie-breaking, and seeding are fully
 specified: axis-aligned splits at midpoints between consecutive sorted
-unique feature values, chosen to minimize the summed squared error of the
-two children, with ties broken toward the first candidate encountered in
-feature-index order. Each tree draws its bootstrap sample and any feature
-subsampling from its own substream of the forest seed, so a forest can be
-grown tree-by-tree in any order (or in parallel) and come out identical.
+unique feature values, chosen over every feature to minimize the summed
+squared error of the two children, with ties broken toward the first
+candidate encountered in feature-index order. Trees are fully deep: a node
+splits unless its labels are all equal. Each tree draws its bootstrap
+sample from its own substream of the forest seed, so a forest can be grown
+tree-by-tree in any order and come out identical.
 
 The ensemble mean is the prediction; the unbiased sample variance of the
-per-tree predictions is its uncertainty, floored to keep downstream
-inverse-variance arithmetic finite.
+per-tree predictions is its uncertainty, floored at ``VARIANCE_FLOOR`` to
+keep downstream inverse-variance arithmetic finite.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, Estimate
-from .errors import DataError, ValidationError
+from .errors import ValidationError
 from .seeding import derive_rng
 
-FOREST_FORMAT_VERSION = 1
-DEFAULT_VARIANCE_FLOOR = 1e-9
+VARIANCE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Forest hyperparameters; the defaults grow fully deep bagged trees.
-
-    ``features_per_split=None`` considers every feature at every split;
-    ``max_depth=None`` grows until nodes are pure or too small to split.
-    """
+    """Size and seed of a forest of fully deep bagged trees."""
 
     n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    min_samples_leaf: int = 1
-    features_per_split: int | None = None
-    bootstrap: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 2:
             raise ValidationError(
                 f"n_trees must be >= 2 for an ensemble variance, got {self.n_trees}"
-            )
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ValidationError(
-                f"min_samples_split must be >= 2, got {self.min_samples_split}"
-            )
-        if self.min_samples_leaf < 1:
-            raise ValidationError(
-                f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}"
-            )
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValidationError(
-                f"features_per_split must be >= 1 or None, got {self.features_per_split}"
             )
 
 
@@ -98,30 +73,13 @@ class RegressionTree:
 class TrainedForest:
     trees: tuple[RegressionTree, ...]
     n_features: int
-    config: ForestConfig
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    config: ForestConfig,
-    rng: np.random.Generator,
-) -> tuple[int, float] | None:
+def _best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[int, float] | None:
     n = rows.size
-    d = X.shape[1]
-    if config.features_per_split is None:
-        candidates = np.arange(d)
-    else:
-        m = min(config.features_per_split, d)
-        # Sorted so the first-encountered tie-break runs in feature-index order
-        # regardless of the draw order.
-        candidates = np.sort(rng.choice(d, size=m, replace=False))
-
     best_cost = math.inf
     best: tuple[int, float] | None = None
-    min_leaf = config.min_samples_leaf
-    for f in candidates:
+    for f in range(X.shape[1]):
         xs_unsorted = X[rows, f]
         order = np.argsort(xs_unsorted, kind="stable")
         xs = xs_unsorted[order]
@@ -134,11 +92,7 @@ def _best_split(
         n_right = n - n_left
         sse_left = csq[:-1] - csum[:-1] ** 2 / n_left
         sse_right = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / n_right
-        cost = sse_left + sse_right
-        valid = (xs[:-1] < xs[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not np.any(valid):
-            continue
-        cost = np.where(valid, cost, math.inf)
+        cost = np.where(xs[:-1] < xs[1:], sse_left + sse_right, math.inf)
         pos = int(np.argmin(cost))
         if cost[pos] < best_cost:
             thr = 0.5 * (xs[pos] + xs[pos + 1])
@@ -147,16 +101,11 @@ def _best_split(
                 # the right value still separates the two sides under "< thr".
                 thr = float(xs[pos + 1])
             best_cost = float(cost[pos])
-            best = (int(f), float(thr))
+            best = (f, float(thr))
     return best
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: ForestConfig,
-    rng: np.random.Generator,
-) -> RegressionTree:
+def _grow_tree(X: np.ndarray, y: np.ndarray) -> RegressionTree:
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -172,16 +121,11 @@ def _grow_tree(
         return len(feature) - 1
 
     root = alloc()
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(y.size), 0, root)]
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(y.size), root)]
     while stack:
-        rows, depth, slot = stack.pop()
+        rows, slot = stack.pop()
         ys = y[rows]
-        splittable = (
-            rows.size >= config.min_samples_split
-            and (config.max_depth is None or depth < config.max_depth)
-            and not np.all(ys == ys[0])
-        )
-        split = _best_split(X, y, rows, config, rng) if splittable else None
+        split = None if np.all(ys == ys[0]) else _best_split(X, y, rows)
         if split is None:
             value[slot] = float(np.mean(ys))
             continue
@@ -193,8 +137,8 @@ def _grow_tree(
         left[slot] = left_slot
         right[slot] = right_slot
         goes_left = X[rows, f] < thr
-        stack.append((rows[goes_left], depth + 1, left_slot))
-        stack.append((rows[~goes_left], depth + 1, right_slot))
+        stack.append((rows[goes_left], left_slot))
+        stack.append((rows[~goes_left], right_slot))
 
     return RegressionTree(
         feature=np.array(feature, dtype=np.int32),
@@ -208,8 +152,8 @@ def _grow_tree(
 def fit(train: Dataset, config: ForestConfig = ForestConfig()) -> TrainedForest:
     """Grow the forest on the training split.
 
-    Tree t draws its bootstrap rows and split-feature subsets from the
-    substream ("forest", config.seed, t), independent of every other tree.
+    Tree t draws its bootstrap rows from the substream
+    ("forest", config.seed, t), independent of every other tree.
     """
     if len(train) < 2:
         raise ValidationError(f"need at least 2 training rows, got {len(train)}")
@@ -218,13 +162,9 @@ def fit(train: Dataset, config: ForestConfig = ForestConfig()) -> TrainedForest:
     n = len(train)
     trees = []
     for t in range(config.n_trees):
-        rng = derive_rng("forest", config.seed, t)
-        if config.bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        trees.append(_grow_tree(X[rows], y[rows], config, rng))
-    return TrainedForest(trees=tuple(trees), n_features=train.n_features, config=config)
+        rows = derive_rng("forest", config.seed, t).integers(0, n, size=n)
+        trees.append(_grow_tree(X[rows], y[rows]))
+    return TrainedForest(trees=tuple(trees), n_features=train.n_features)
 
 
 def _check_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
@@ -245,92 +185,21 @@ def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
 
 
 def predict_with_variance_matrix(
-    model: TrainedForest,
-    X: np.ndarray,
-    var_floor: float = DEFAULT_VARIANCE_FLOOR,
+    model: TrainedForest, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble means and floored unbiased per-tree variances for many rows."""
-    if not (math.isfinite(var_floor) and var_floor > 0.0):
-        raise ValidationError(f"var_floor must be positive, got {var_floor!r}")
     per_tree = predict_matrix(model, X)
     means = per_tree.mean(axis=0)
-    variances = np.maximum(per_tree.var(axis=0, ddof=1), var_floor)
+    variances = np.maximum(per_tree.var(axis=0, ddof=1), VARIANCE_FLOOR)
     return means, variances
 
 
-def predict_with_variance(
-    model: TrainedForest,
-    features: np.ndarray,
-    var_floor: float = DEFAULT_VARIANCE_FLOOR,
-) -> Estimate:
+def predict_with_variance(model: TrainedForest, features: np.ndarray) -> Estimate:
     """Prediction and uncertainty for a single feature vector."""
     features = np.asarray(features, dtype=float)
     if features.shape != (model.n_features,):
         raise ValidationError(
             f"features have shape {features.shape}, expected ({model.n_features},)"
         )
-    means, variances = predict_with_variance_matrix(
-        model, features.reshape(1, -1), var_floor
-    )
+    means, variances = predict_with_variance_matrix(model, features.reshape(1, -1))
     return Estimate(value=float(means[0]), variance=float(variances[0]))
-
-
-def save_forest(model: TrainedForest, path: str | Path) -> None:
-    """Serialize the forest as versioned JSON; floats round-trip exactly."""
-    payload = {
-        "format_version": FOREST_FORMAT_VERSION,
-        "n_features": model.n_features,
-        "config": asdict(model.config),
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-            }
-            for tree in model.trees
-        ],
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-
-
-def load_forest(path: str | Path) -> TrainedForest:
-    """Load a forest saved by ``save_forest``."""
-    path = Path(path)
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    version = payload.get("format_version")
-    if version != FOREST_FORMAT_VERSION:
-        raise DataError(
-            f"{path}: unsupported forest format version {version!r}, "
-            f"expected {FOREST_FORMAT_VERSION}"
-        )
-    try:
-        config = ForestConfig(**payload["config"])
-        trees = []
-        for entry in payload["trees"]:
-            tree = RegressionTree(
-                feature=np.array(entry["feature"], dtype=np.int32),
-                threshold=np.array(entry["threshold"], dtype=float),
-                left=np.array(entry["left"], dtype=np.int32),
-                right=np.array(entry["right"], dtype=np.int32),
-                value=np.array(entry["value"], dtype=float),
-            )
-            lengths = {len(entry[k]) for k in ("feature", "threshold", "left", "right", "value")}
-            if len(lengths) != 1:
-                raise DataError(f"{path}: tree arrays have mismatched lengths")
-            trees.append(tree)
-        return TrainedForest(
-            trees=tuple(trees),
-            n_features=int(payload["n_features"]),
-            config=config,
-        )
-    except (KeyError, TypeError, ValidationError) as exc:
-        raise DataError(f"{path}: malformed forest file: {exc}") from exc

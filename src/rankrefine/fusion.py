@@ -5,8 +5,8 @@ the fused value is the precision-weighted average and the fused variance is
 the inverse of the summed precisions. The fused variance never exceeds
 either input variance, which is what makes post-hoc refinement safe when
 the variances are honest. Helper functions cover the variance clamp used to
-guard against overconfident rank variances, the rank-variance level needed
-to hit a target error ratio, and the MAE of a centered Gaussian error.
+guard against overconfident rank variances and the rank-variance level
+needed to hit a target error ratio.
 
 ``fuse`` and ``regularize_rank_variance`` work elementwise: given floats
 they return floats, given equal-length arrays (one entry per query, as in
@@ -79,6 +79,12 @@ def fuse(reg: Estimate, rank: Estimate) -> FusedEstimate:
     )
 
 
+def check_clamp_c(c: float) -> None:
+    """Reject a clamp factor that is negative or not a number; 0 disables the clamp."""
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValidationError(f"clamp_c must be >= 0 (0 disables), got {c!r}")
+
+
 def regularize_rank_variance(
     rank_var: float | np.ndarray, reg_var: float | np.ndarray, c: float
 ) -> float | np.ndarray:
@@ -110,13 +116,3 @@ def required_rank_variance(alpha: float, reg_var: float) -> float:
     _check_variance(reg_var, "regressor")
     a2 = alpha * alpha
     return a2 * reg_var / (1.0 - a2)
-
-
-def mae_of_sigma(sigma: float) -> float:
-    """MAE of a centered Gaussian error with standard deviation ``sigma``.
-
-    The mean of a folded Gaussian: sigma * sqrt(2 / pi).
-    """
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValidationError(f"sigma must be non-negative, got {sigma!r}")
-    return sigma * math.sqrt(2.0 / math.pi)

@@ -48,7 +48,6 @@ class RankEstimate:
     value: float
     variance: float
     clamped: bool
-    nll_at_solution: float
 
 
 def _require_nonempty(comparisons: ComparisonSet) -> None:
@@ -129,12 +128,8 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
                 break
             value = mid
 
-    variance = fisher_variance(value, comparisons)
     return RankEstimate(
-        value=value,
-        variance=variance,
-        clamped=clamped,
-        nll_at_solution=bt_nll(value, comparisons),
+        value=value, variance=fisher_variance(value, comparisons), clamped=clamped
     )
 
 

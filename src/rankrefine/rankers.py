@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, MutableMapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 import requests
@@ -40,26 +40,17 @@ COMPARISONS_HEADER = ("query_id", "ref_id", "outcome")
 class OracleRankerConfig:
     """A simulated ranker with a known probability of answering correctly.
 
-    With ``magnitude_sensitive`` off (the default) every pair is judged
-    correctly with probability ``accuracy``, independent of how far apart
-    the two values are. When on, close pairs are harder: the probability of
-    a correct answer falls from ``accuracy`` toward a coin flip as the gap
-    shrinks below ``difficulty_scale``.
+    Every pair is judged correctly with probability ``accuracy``,
+    independent of how far apart the two values are.
     """
 
     accuracy: float
     seed: int = 0
-    magnitude_sensitive: bool = False
-    difficulty_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.accuracy) and 0.5 <= self.accuracy <= 1.0):
             raise ValidationError(
                 f"oracle accuracy must lie in [0.5, 1.0], got {self.accuracy!r}"
-            )
-        if not (math.isfinite(self.difficulty_scale) and self.difficulty_scale > 0.0):
-            raise ValidationError(
-                f"difficulty_scale must be positive, got {self.difficulty_scale!r}"
             )
 
 
@@ -83,12 +74,8 @@ def oracle_compare(
             "correct answer and must be excluded upstream"
         )
     truth = y_query > reference.label
-    p_correct = config.accuracy
-    if config.magnitude_sensitive:
-        gap = abs(y_query - reference.label)
-        p_correct = 0.5 + (config.accuracy - 0.5) * gap / (gap + config.difficulty_scale)
     u = unit_uniform("oracle", config.seed, query_id, pair_index)
-    query_above = truth if u < p_correct else not truth
+    query_above = truth if u < config.accuracy else not truth
     return ComparisonOutcome(query_id=query_id, ref_id=reference.id, query_above=query_above)
 
 
@@ -420,25 +407,17 @@ def parse_ranking_response(content: str) -> dict[tuple[str, str], bool]:
     return parsed
 
 
-def _chunks(items: list[int], size: int) -> Iterable[list[int]]:
-    for start in range(0, len(items), size):
-        yield items[start : start + size]
-
-
 def llm_rank_batch(
     pairs: Sequence[tuple[str, str]],
     config: LlmRankerConfig,
     transport: Transport | None = None,
-    cache: MutableMapping[tuple[str, str, str, str], bool] | None = None,
 ) -> list[ComparisonOutcome]:
     """Rank text pairs with an LLM, in batches, with per-pair retries.
 
     Each outcome's ids are the pair's texts (callers map texts back to their
     own ids). Pairs whose answers cannot be parsed are resubmitted up to
     ``config.max_retries`` more times and then excluded with a warning;
-    transport failures on the final attempt propagate. When a cache mapping
-    is supplied, previously answered (model, property, a, b) keys are served
-    from it without any request.
+    transport failures on the final attempt propagate.
     """
     if transport is None:
         transport = make_http_transport(config.timeout)
@@ -447,13 +426,7 @@ def llm_rank_batch(
         if not a or not b:
             raise ValidationError("pair texts must be non-empty")
     results: dict[int, bool] = {}
-    pending: list[int] = []
-    for i, (a, b) in enumerate(pair_list):
-        key = (config.model_name, config.property_description, a, b)
-        if cache is not None and key in cache:
-            results[i] = cache[key]
-        else:
-            pending.append(i)
+    pending = list(range(len(pair_list)))
 
     api_key = os.environ.get(config.api_key_env_var, "")
     headers: dict[str, str] = {"Content-Type": "application/json"}
@@ -463,7 +436,8 @@ def llm_rank_batch(
     attempt = 0
     while pending and attempt <= config.max_retries:
         still_pending: list[int] = []
-        for batch in _chunks(pending, config.batch_size):
+        for start in range(0, len(pending), config.batch_size):
+            batch = pending[start : start + config.batch_size]
             batch_pairs = [pair_list[i] for i in batch]
             payload: dict[str, object] = {
                 "model": config.model_name,
@@ -485,9 +459,6 @@ def llm_rank_batch(
                     still_pending.append(i)
                 else:
                     results[i] = answer
-                    if cache is not None:
-                        a, b = pair_list[i]
-                        cache[(config.model_name, config.property_description, a, b)] = answer
         pending = still_pending
         attempt += 1
 

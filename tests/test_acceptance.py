@@ -8,7 +8,8 @@ determinism. Each test emits one PASS/FAIL line, shown in the "acceptance
 criteria" section of the terminal summary (see conftest).
 
 The sweep-based criteria share one full default-protocol run (master seed 0)
-through module-scoped fixtures; the whole module takes a few minutes.
+and the five seed contexts of that run, each fitted once, through
+module-scoped fixtures; the whole module takes a few minutes.
 """
 
 from pathlib import Path
@@ -21,7 +22,6 @@ from rankrefine.core import (
     ComparisonOutcome,
     ComparisonSet,
     Estimate,
-    mae,
     pra,
 )
 from rankrefine.experiments import (
@@ -29,7 +29,6 @@ from rankrefine.experiments import (
     SweepGrid,
     _build_seed_context,
     _compute_cell,
-    _query_comparisons,
     _sweep_record,
     make_synthetic_dataset,
     run_baseline_delta,
@@ -43,7 +42,7 @@ from rankrefine.fusion import fuse
 from rankrefine.rank import fisher_variance, search_domain, solve_rank_estimate
 from rankrefine.rankers import llm_rank_batch, load_replay_transport, LlmRankerConfig
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, grid_nll
 
 REPLAY_FIXTURE = Path(__file__).parent / "data" / "llm_replay.json"
 
@@ -59,6 +58,14 @@ def _report(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def dataset():
     return make_synthetic_dataset()
+
+
+@pytest.fixture(scope="module")
+def seed_contexts(dataset):
+    """The five default re-splits of the master seed, each fitted once."""
+    return [
+        _build_seed_context(dataset, i, MASTER_SEED, 50, ForestConfig()) for i in range(5)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -110,17 +117,6 @@ class TestCriterion2MinimumVariance:
         )
 
 
-def _grid_nll(comparisons: ComparisonSet, grid: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(grid)
-    below = comparisons.below_labels
-    above = comparisons.above_labels
-    if below.size:
-        total += np.logaddexp(0.0, -(grid[None, :] - below[:, None])).sum(axis=0)
-    if above.size:
-        total += np.logaddexp(0.0, grid[None, :] - above[:, None]).sum(axis=0)
-    return total
-
-
 def _random_two_sided(rng):
     k = int(rng.integers(2, 11))
     labels = rng.uniform(-5.0, 5.0, size=k)
@@ -143,7 +139,7 @@ class TestCriterion3SolverEquivalence:
             est = solve_rank_estimate(cs)
             lo, hi = search_domain(cs)
             grid = np.arange(lo, hi + 1e-4, 1e-4)
-            best = float(grid[int(np.argmin(_grid_nll(cs, grid)))])
+            best = float(grid[int(np.argmin(grid_nll(cs, grid)))])
             worst_gap = max(worst_gap, abs(est.value - best))
 
         s = expit(1.0)
@@ -272,7 +268,7 @@ class TestCriterion8LlmPathway:
         ("c1ccccc1O", "CCN", False),
     )
 
-    def test_replay_bit_exact_and_simulated_ranker_improves(self, dataset):
+    def test_replay_bit_exact_and_simulated_ranker_improves(self, dataset, seed_contexts):
         pairs = [(a, b) for a, b, _ in self.EXPECTED]
         config = LlmRankerConfig(
             endpoint_url="https://example.invalid/v1/chat/completions",
@@ -292,18 +288,18 @@ class TestCriterion8LlmPathway:
         )
 
         # End-to-end with a simulated ranker at the user-study accuracy level.
-        grid = SweepGrid(accuracies=(0.62,), ks=(20,), seeds=5)
-        records = run_oracle_sweep(dataset, grid, master_seed=MASTER_SEED)
-        beta_62 = float(np.mean([r.beta for r in records]))
+        cells = [_compute_cell(ctx, 0.62, 20, MASTER_SEED) for ctx in seed_contexts]
+        beta_62 = float(
+            np.mean([_sweep_record(cell, dataset.name, 0.0).beta for cell in cells])
+        )
 
         truth = dict(zip(dataset.ids, (float(v) for v in dataset.y)))
-        agreements = []
-        for seed_index in range(5):
-            ctx = _build_seed_context(
-                dataset, seed_index, MASTER_SEED, 50, ForestConfig()
-            )
-            for comps in _query_comparisons(ctx, 0.62, 20, MASTER_SEED):
-                agreements.extend(comps.outcomes)
+        agreements = [
+            outcome
+            for cell in cells
+            for comps in cell.comparisons
+            for outcome in comps.outcomes
+        ]
         realized_pra = pra(agreements, truth)
 
         _report(
@@ -316,12 +312,13 @@ class TestCriterion8LlmPathway:
 
 
 class TestCriterion9Determinism:
-    def test_isolated_cell_and_rerun_equality(self, dataset, full_sweep):
+    def test_isolated_cell_and_rerun_equality(self, dataset, seed_contexts, full_sweep):
         target = next(
             r for r in full_sweep if r.seed == 3 and r.accuracy == 0.8 and r.k == 20
         )
-        ctx = _build_seed_context(dataset, 3, MASTER_SEED, 50, ForestConfig())
-        isolated = _sweep_record(_compute_cell(ctx, 0.8, 20, MASTER_SEED), dataset.name, 0.0)
+        isolated = _sweep_record(
+            _compute_cell(seed_contexts[3], 0.8, 20, MASTER_SEED), dataset.name, 0.0
+        )
         cell_ok = isolated == target
 
         def _bytes(records, tmp):

@@ -7,7 +7,6 @@ import pytest
 
 from rankrefine.baselines import (
     FeasibleInterval,
-    inverse_distance_weight,
     projection_refine,
     rbr_refine,
 )
@@ -80,18 +79,6 @@ class TestProjection:
             assert abs(refined - mid) <= abs(y - mid) + 1e-12
 
 
-class TestInverseDistanceWeight:
-    def test_values(self):
-        assert inverse_distance_weight(0.0) == 1.0
-        assert inverse_distance_weight(1.0) == 0.5
-        assert inverse_distance_weight(3.0) == 0.25
-
-    def test_decreasing_in_distance(self):
-        d = np.linspace(0.0, 50.0, 500)
-        w = np.array([inverse_distance_weight(float(x)) for x in d])
-        assert np.all(np.diff(w) < 0)
-
-
 class TestRbr:
     def _train(self):
         return Dataset(
@@ -134,14 +121,3 @@ class TestRbr:
         value = rbr_refine(np.array([0.0]), 0.0, train, np.array([10.0, -10.0]), k=1)
         # Both rows sit at distance 1; the earlier row wins deterministically.
         assert value == pytest.approx((0.0 + 0.5 * 10.0) / 1.5)
-
-    def test_custom_weighting(self):
-        value = rbr_refine(
-            np.array([0.0]),
-            1.0,
-            self._train(),
-            np.array([5.0, 7.0, 9.0]),
-            k=3,
-            weighting=lambda d: 1.0,
-        )
-        assert value == pytest.approx((1.0 + 5.0 + 7.0 + 9.0) / 4.0)

@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import rankrefine
+from rankrefine import cli
 from rankrefine.cli import _parse_float_list, _parse_int_list, main
 from rankrefine.core import load_dataset_csv
 from rankrefine.errors import ValidationError
+from rankrefine.rankers import load_replay_transport
 
 REPLAY_FIXTURE = Path(__file__).parent / "data" / "llm_replay.json"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -117,6 +119,26 @@ class TestRefine:
         var_clamped = float(clamped.read_text().splitlines()[1].split(",")[4])
         assert var_clamped == pytest.approx(100.0)  # 100 * var_reg(q1)
         assert var_plain < var_clamped
+
+    @pytest.mark.parametrize("clamp_c", ["-1", "nan"])
+    def test_invalid_clamp_c_is_usage_error(self, refine_inputs, tmp_path, capsys, clamp_c):
+        predictions, references, comparisons = refine_inputs
+        out = tmp_path / "refined.csv"
+        code = main([
+            "refine", "--predictions", predictions, "--references", references,
+            "--comparisons", comparisons, "--out", str(out), "--clamp-c", clamp_c,
+        ])
+        assert code == 2
+        assert "clamp_c must be >= 0 (0 disables)" in capsys.readouterr().err
+        assert not out.exists()
+        # Checked before any file is read: a missing input does not turn it into exit 3.
+        code = main([
+            "refine", "--predictions", str(tmp_path / "missing.csv"),
+            "--references", references, "--comparisons", comparisons,
+            "--out", str(out), "--clamp-c", clamp_c,
+        ])
+        assert code == 2
+        capsys.readouterr()
 
     def test_unknown_query_in_comparisons_is_data_error(self, refine_inputs, tmp_path, capsys):
         predictions, references, _ = refine_inputs
@@ -287,6 +309,44 @@ class TestRankLlmReplay:
         assert code == 0
         assert "ranked 6 of 6 pairs" in capsys.readouterr().out
         assert out.read_text() == self.EXPECTED
+
+    def test_zero_k_pairs_every_reference(self, tmp_path, capsys):
+        queries, references, _ = self._inputs(tmp_path)
+        out = tmp_path / "out.csv"
+        code = main([
+            "rank", "--source", "llm", "--queries", queries,
+            "--references", references, "--k", "0",
+            "--endpoint", "https://example.invalid/v1/chat/completions",
+            "--model", "solubility-ranker",
+            "--replay", str(REPLAY_FIXTURE),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert "ranked 6 of 6 pairs" in capsys.readouterr().out
+        assert out.read_text() == self.EXPECTED
+
+    def test_negative_k_is_usage_error_before_any_request(self, tmp_path, capsys, monkeypatch):
+        queries, references, _ = self._inputs(tmp_path)
+        transports = []
+
+        def recording_replay(path):
+            transports.append(load_replay_transport(path))
+            return transports[-1]
+
+        monkeypatch.setattr(cli, "load_replay_transport", recording_replay)
+        out = tmp_path / "out.csv"
+        code = main([
+            "rank", "--source", "llm", "--queries", queries,
+            "--references", references, "--k", "-1",
+            "--endpoint", "https://example.invalid/v1/chat/completions",
+            "--model", "solubility-ranker",
+            "--replay", str(REPLAY_FIXTURE),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "k must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not any(t.requests for t in transports)
 
     def test_replay_scores_pra_against_truth(self, tmp_path, capsys):
         queries, references, truth = self._inputs(tmp_path)

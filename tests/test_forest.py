@@ -1,20 +1,18 @@
-"""Bagged CART forest: splits, determinism, variance, and persistence."""
+"""Bagged CART forest: splits, determinism, and variance."""
 
 import numpy as np
 import pytest
 
 from rankrefine.core import Dataset, Estimate, SplitSpec, mae, resplit
-from rankrefine.errors import DataError, ValidationError
+from rankrefine.errors import ValidationError
 from rankrefine.experiments import make_synthetic_dataset
 from rankrefine.forest import (
     ForestConfig,
     RegressionTree,
     TrainedForest,
     fit,
-    load_forest,
     predict_with_variance,
     predict_with_variance_matrix,
-    save_forest,
 )
 from rankrefine.seeding import derive_seed
 
@@ -46,20 +44,12 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
             ForestConfig(n_trees=1)
-        with pytest.raises(ValidationError):
-            ForestConfig(min_samples_split=1)
-        with pytest.raises(ValidationError):
-            ForestConfig(min_samples_leaf=0)
-        with pytest.raises(ValidationError):
-            ForestConfig(max_depth=0)
-        with pytest.raises(ValidationError):
-            ForestConfig(features_per_split=0)
 
 
 class TestFit:
     def test_learns_a_step_function(self):
         ds = _step_dataset()
-        model = fit(ds, ForestConfig(n_trees=20, bootstrap=False, seed=1))
+        model = fit(ds, ForestConfig(n_trees=20, seed=1))
         values, _ = predict_with_variance_matrix(model, ds.features)
         np.testing.assert_allclose(values, ds.y, atol=1e-12)
 
@@ -80,15 +70,6 @@ class TestFit:
         values, _ = predict_with_variance_matrix(model, X)
         assert values.min() >= ds.y.min() and values.max() <= ds.y.max()
 
-    def test_min_samples_leaf_coarsens_fit(self):
-        ds = _step_dataset()
-        model = fit(
-            ds, ForestConfig(n_trees=5, bootstrap=False, min_samples_leaf=8, seed=0)
-        )
-        values, _ = predict_with_variance_matrix(model, ds.features)
-        # A leaf of the full sample can only predict the global mean.
-        np.testing.assert_allclose(values, ds.y.mean(), atol=1e-12)
-
     def test_feature_count_checked_at_predict(self):
         ds = _step_dataset()
         model = fit(ds, ForestConfig(n_trees=2, seed=0))
@@ -101,7 +82,6 @@ class TestVariance:
         model = TrainedForest(
             trees=(_leaf_tree(0.0), _leaf_tree(2.0)),
             n_features=1,
-            config=ForestConfig(n_trees=2),
         )
         values, variances = predict_with_variance_matrix(model, np.zeros((1, 1)))
         assert values[0] == pytest.approx(1.0)
@@ -112,7 +92,6 @@ class TestVariance:
         model = TrainedForest(
             trees=(_leaf_tree(1.5), _leaf_tree(1.5)),
             n_features=1,
-            config=ForestConfig(n_trees=2),
         )
         _, variances = predict_with_variance_matrix(model, np.zeros((1, 1)))
         assert variances[0] == 1e-9
@@ -121,7 +100,6 @@ class TestVariance:
         model = TrainedForest(
             trees=(_leaf_tree(0.0), _leaf_tree(2.0)),
             n_features=1,
-            config=ForestConfig(n_trees=2),
         )
         est = predict_with_variance(model, np.zeros(1))
         assert isinstance(est, Estimate)
@@ -137,38 +115,3 @@ class TestAgainstReferenceImplementation:
         ours = mae(values, test.y)
         assert ours <= 1.10 * SKLEARN_REFERENCE_MAE
         assert ours >= 0.90 * SKLEARN_REFERENCE_MAE
-
-
-class TestPersistence:
-    def test_round_trip_predictions_identical(self, tmp_path):
-        ds = make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=3)
-        model = fit(ds, ForestConfig(n_trees=8, seed=5))
-        path = tmp_path / "forest.json"
-        save_forest(model, path)
-        back = load_forest(path)
-        assert back.config == model.config
-        assert back.n_features == model.n_features
-        X = np.random.default_rng(1).uniform(-1, 1, size=(40, 4))
-        a, av = predict_with_variance_matrix(model, X)
-        b, bv = predict_with_variance_matrix(back, X)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(av, bv)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        ds = _step_dataset()
-        model = fit(ds, ForestConfig(n_trees=2, seed=0))
-        path = tmp_path / "forest.json"
-        save_forest(model, path)
-        import json
-
-        blob = json.loads(path.read_text())
-        blob["format_version"] = 999
-        path.write_text(json.dumps(blob))
-        with pytest.raises(DataError):
-            load_forest(path)
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "forest.json"
-        path.write_text("{\"not\": \"a forest\"}")
-        with pytest.raises(DataError):
-            load_forest(path)

@@ -9,7 +9,6 @@ from rankrefine.core import Estimate
 from rankrefine.errors import NumericError, ValidationError
 from rankrefine.fusion import (
     fuse,
-    mae_of_sigma,
     regularize_rank_variance,
     required_rank_variance,
 )
@@ -92,7 +91,7 @@ class TestFuse:
             fuse(Estimate(0.0, 1.0), _Pair(np.zeros(2), np.array([1.0, -1.0])))
 
     def test_accepts_rank_estimate_duck_typed(self):
-        rank = RankEstimate(value=2.0, variance=4.0, clamped=False, nll_at_solution=0.0)
+        rank = RankEstimate(value=2.0, variance=4.0, clamped=False)
         fused = fuse(Estimate(0.0, 4.0), rank)
         assert fused.value == pytest.approx(1.0)
 
@@ -141,20 +140,3 @@ class TestRequiredRankVariance:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValidationError):
                 required_rank_variance(bad, 1.0)
-
-
-class TestMaeOfSigma:
-    def test_folded_gaussian_relation(self):
-        assert mae_of_sigma(1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
-        assert mae_of_sigma(2.5) == pytest.approx(2.5 * math.sqrt(2.0 / math.pi))
-
-    def test_matches_monte_carlo(self):
-        rng = np.random.default_rng(11)
-        draws = rng.standard_normal(200_000) * 3.0
-        assert mae_of_sigma(3.0) == pytest.approx(
-            np.abs(draws).mean(), rel=5e-3
-        )
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            mae_of_sigma(-1.0)
