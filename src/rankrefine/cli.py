@@ -12,17 +12,15 @@ import argparse
 import logging
 import os
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
     ComparisonOutcome,
+    ComparisonSet,
     Dataset,
     Estimate,
-    LabeledReference,
-    ReferenceSet,
     load_dataset_csv,
     load_references_csv,
     pra,
@@ -47,6 +45,7 @@ from .experiments import (
 from .fusion import check_clamp_c, fuse, regularize_rank_variance
 from .rank import solve_rank_estimate
 from .rankers import (
+    DEFAULT_PROMPT_TEMPLATE,
     LlmRankerConfig,
     OracleRankerConfig,
     generate_comparisons,
@@ -182,16 +181,20 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
 def cmd_refine(args: argparse.Namespace) -> None:
     check_clamp_c(args.clamp_c)
     ids, reg = _load_predictions(args.predictions)
-    references = load_references_csv(args.references)
-    comparison_map = load_comparisons_csv(args.comparisons, references.labels_by_id())
+    labels = load_references_csv(args.references).labels_by_id()
+    grouped = load_comparisons_csv(args.comparisons, labels)
     known = set(ids)
-    for qid in comparison_map:
+    for qid in grouped:
         if qid not in known:
             raise DataError(
                 f"{args.comparisons}: comparisons reference unknown prediction id {qid!r}"
             )
-    refined = [i for i, pid in enumerate(ids) if pid in comparison_map]
-    estimates = [solve_rank_estimate(comparison_map[ids[i]]) for i in refined]
+    refined = [i for i, pid in enumerate(ids) if pid in grouped]
+    estimates = []
+    for i in refined:
+        judged = grouped[ids[i]].items()
+        outcomes = (ComparisonOutcome(ids[i], rid, above) for rid, above in judged)
+        estimates.append(solve_rank_estimate(ComparisonSet.from_outcomes(outcomes, labels)))
     reg_var = reg.variance[refined]
     rank_var = np.array([est.variance for est in estimates])
     if args.clamp_c > 0:
@@ -241,38 +244,40 @@ def _rank_oracle(args: argparse.Namespace) -> None:
     outcomes = []
     for query in queries.references:
         rng = derive_rng("refs", args.seed, query.id)
-        comparisons = generate_comparisons(
-            query.id, query.label, references, args.k, oracle, rng
+        outcomes.extend(
+            generate_comparisons(query.id, query.label, references, args.k, oracle, rng)
         )
-        outcomes.extend(comparisons.outcomes)
     save_comparisons_csv(outcomes, args.out)
     print(f"wrote {len(outcomes)} comparisons -> {args.out}")
 
 
 def _rank_file(args: argparse.Namespace) -> None:
     references = load_references_csv(args.references)
-    comparison_map = load_comparisons_csv(args.comparisons, references.labels_by_id())
-    outcomes = [out for comps in comparison_map.values() for out in comps.outcomes]
+    grouped = load_comparisons_csv(args.comparisons, references.labels_by_id())
+    outcomes = [
+        ComparisonOutcome(qid, rid, above)
+        for qid, judged in grouped.items()
+        for rid, above in judged.items()
+    ]
     save_comparisons_csv(outcomes, args.out)
     print(f"validated {len(outcomes)} comparisons -> {args.out}")
 
 
 def _rank_interactive(args: argparse.Namespace) -> None:
     query_ids, query_texts, _ = _load_table(args.queries)
-    ref_ids, ref_texts, ref_labels = _load_table(args.references, required=("id", "y"))
-    references = ReferenceSet(
-        tuple(LabeledReference(rid, ref_labels[rid]) for rid in ref_ids)
-    )
+    # y is required and parsed as for the other sources, though a human answers without it.
+    ref_ids, ref_texts, _ = _load_table(args.references, required=("id", "y"))
     outcomes = []
     for qid in query_ids:
-        comparisons = interactive_rank(
-            qid,
-            references,
-            property_name=args.property,
-            query_text=query_texts.get(qid),
-            ref_texts=ref_texts,
+        outcomes.extend(
+            interactive_rank(
+                qid,
+                ref_ids,
+                property_name=args.property,
+                query_text=query_texts.get(qid),
+                ref_texts=ref_texts,
+            )
         )
-        outcomes.extend(comparisons.outcomes)
     save_comparisons_csv(outcomes, args.out)
     print(f"collected {len(outcomes)} comparisons -> {args.out}")
 
@@ -290,9 +295,7 @@ def _rank_llm(args: argparse.Namespace) -> None:
             raise DataError(f"{args.references}: reference {rid!r} has no text to rank by")
 
     template = (
-        Path(args.prompt_template).read_text()
-        if args.prompt_template
-        else LlmRankerConfig.__dataclass_fields__["prompt_template"].default
+        Path(args.prompt_template).read_text() if args.prompt_template else DEFAULT_PROMPT_TEMPLATE
     )
     examples = Path(args.examples).read_text() if args.examples else ""
     config = LlmRankerConfig(
@@ -315,27 +318,18 @@ def _rank_llm(args: argparse.Namespace) -> None:
             )
         transport = None
 
-    pairs: list[tuple[str, str]] = []
-    id_queue: dict[tuple[str, str], deque[tuple[str, str]]] = {}
+    pair_ids: list[tuple[str, str]] = []
     for qid in query_ids:
         chosen = list(ref_ids)
         if args.k and args.k < len(chosen):
             rng = derive_rng("refs", args.seed, qid)
             order = rng.permutation(len(chosen))
             chosen = [chosen[i] for i in order[: args.k]]
-        for rid in chosen:
-            pair = (query_texts[qid], ref_texts[rid])
-            pairs.append(pair)
-            id_queue.setdefault(pair, deque()).append((qid, rid))
+        pair_ids.extend((qid, rid) for rid in chosen)
+    pairs = [(query_texts[qid], ref_texts[rid]) for qid, rid in pair_ids]
 
-    text_outcomes = llm_rank_batch(pairs, config, transport)
-    outcomes = []
-    for out in text_outcomes:
-        queue = id_queue.get((out.query_id, out.ref_id))
-        if not queue:
-            continue
-        qid, rid = queue.popleft()
-        outcomes.append(ComparisonOutcome(query_id=qid, ref_id=rid, query_above=out.query_above))
+    answers = llm_rank_batch(pairs, config, transport)
+    outcomes = [ComparisonOutcome(*pair_ids[i], above) for i, above in answers.items()]
     save_comparisons_csv(outcomes, args.out)
     print(f"ranked {len(outcomes)} of {len(pairs)} pairs -> {args.out}")
     if args.truth:

@@ -4,6 +4,11 @@ Everything downstream (the rank estimator, fusion, baselines, forest, and
 the experiment harness) builds on the types defined here. Instances are
 immutable after construction and every operation is pure, so values can be
 shared freely.
+
+Ids live at the edges and labels at the solver: a ``ComparisonOutcome``
+names its query and reference by id where comparisons are read, written or
+asked for, and a ``ComparisonSet`` holds only the reference labels the rank
+estimate reads.
 """
 
 from __future__ import annotations
@@ -115,25 +120,24 @@ class ComparisonOutcome:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonSet:
-    """All pairwise outcomes for a single query, partitioned by direction.
+    """A query's comparisons as the solver reads them: two arrays of labels.
 
     ``below_labels`` holds the labels of references the query was ranked
     above (so they sit below the query); ``above_labels`` the labels of
-    references ranked above the query. An empty set is legal and simply
-    carries no ranking evidence.
+    references ranked above the query. Ids stay with the outcomes at the
+    edges. An empty set is legal and simply carries no ranking evidence.
     """
 
-    outcomes: tuple[ComparisonOutcome, ...]
     below_labels: np.ndarray
     above_labels: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("below_labels", "above_labels"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.ndim != 1:
+                raise ValidationError(f"{name} must be 1-d, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if len(self.below_labels) + len(self.above_labels) != len(self.outcomes):
-            raise ValidationError("label partition does not match outcome count")
 
     @classmethod
     def from_outcomes(
@@ -146,11 +150,10 @@ class ComparisonSet:
         Raises DataError when a reference id cannot be resolved or the same
         (query, reference) pair appears twice.
         """
-        kept = tuple(outcomes)
         seen: set[tuple[str, str]] = set()
         below: list[float] = []
         above: list[float] = []
-        for out in kept:
+        for out in outcomes:
             pair = (out.query_id, out.ref_id)
             if pair in seen:
                 raise DataError(f"duplicate comparison for pair {pair}")
@@ -161,14 +164,14 @@ class ComparisonSet:
             if not math.isfinite(label):
                 raise DataError(f"reference {out.ref_id!r} has non-finite label")
             (below if out.query_above else above).append(label)
-        return cls(kept, np.array(below, dtype=float), np.array(above, dtype=float))
+        return cls(np.array(below, dtype=float), np.array(above, dtype=float))
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return self.below_labels.size + self.above_labels.size
 
     @property
     def is_empty(self) -> bool:
-        return not self.outcomes
+        return len(self) == 0
 
     def all_labels(self) -> np.ndarray:
         return np.concatenate([self.below_labels, self.above_labels])

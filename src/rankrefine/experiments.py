@@ -122,6 +122,8 @@ def validate_bound(
         raise ValidationError(
             f"n_samples must be >= {MIN_BOUND_SAMPLES} for a meaningful check, got {n_samples}"
         )
+    if not alphas:
+        raise ValidationError("at least one alpha is required")
     results: list[tuple[float, float]] = []
     for alpha in alphas:
         alpha = float(alpha)
@@ -255,12 +257,12 @@ def _compute_cell(
     oracle = OracleRankerConfig(
         accuracy=accuracy, seed=derive_seed("oracle-seed", master_seed, ctx.seed_index)
     )
+    labels_by_id = ctx.references.labels_by_id()
     comparisons = []
     for qid, y_true in zip(ctx.test.ids, ctx.test.y):
         rng = derive_rng("refs", master_seed, ctx.seed_index, qid)
-        comparisons.append(
-            generate_comparisons(qid, float(y_true), ctx.references, k, oracle, rng)
-        )
+        outcomes = generate_comparisons(qid, float(y_true), ctx.references, k, oracle, rng)
+        comparisons.append(ComparisonSet.from_outcomes(outcomes, labels_by_id))
     estimates = [solve_rank_estimate(comps) for comps in comparisons]
     return _Cell(
         ctx=ctx,

@@ -4,6 +4,11 @@ Every ranker answers the same question (is the query's property value above
 this reference's?) and emits at most one outcome per (query, reference)
 pair, so downstream code never cares where comparisons came from. Failures
 are excluded, never guessed.
+
+Rankers work in ids and never see the solver: each returns outcomes keyed
+by (query id, reference id), or, for the LLM, answers keyed by pair
+position. Callers resolve one query's ids to the labels of a
+``ComparisonSet`` only where they solve.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 import numpy as np
 import requests
 
-from .core import (
-    ComparisonOutcome,
-    ComparisonSet,
-    LabeledReference,
-    ReferenceSet,
-    read_table,
-    write_table,
-)
+from .core import ComparisonOutcome, LabeledReference, ReferenceSet, read_table, write_table
 from .errors import DataError, TransportError, ValidationError
 from .seeding import unit_uniform
 
@@ -86,7 +84,7 @@ def generate_comparisons(
     k: int,
     config: OracleRankerConfig,
     rng: np.random.Generator,
-) -> ComparisonSet:
+) -> list[ComparisonOutcome]:
     """Ask the oracle to judge the query against k sampled references.
 
     References tying the query's value are ineligible (no correct answer
@@ -109,8 +107,7 @@ def generate_comparisons(
         )
     order = rng.permutation(len(eligible))
     chosen = [eligible[i] for i in order[:k]]
-    outcomes = [oracle_compare(query_id, y_query, ref, config, i) for i, ref in enumerate(chosen)]
-    return ComparisonSet.from_outcomes(outcomes, references.labels_by_id())
+    return [oracle_compare(query_id, y_query, ref, config, i) for i, ref in enumerate(chosen)]
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +117,14 @@ def generate_comparisons(
 def load_comparisons_csv(
     path: str | Path,
     labels_by_id: Mapping[str, float],
-) -> dict[str, ComparisonSet]:
-    """Read a comparisons CSV and group it into per-query comparison sets.
+) -> dict[str, dict[str, bool]]:
+    """Read a comparisons CSV and group its rows by query.
 
-    Expected header: ``query_id,ref_id,outcome`` with outcome 1 meaning the
-    query is above the reference. Unknown reference ids, repeated pairs, and
-    outcomes other than 0/1 are data errors that name the file line. File
-    order is preserved within each query.
+    Returns query id -> reference id -> query_above, in file order within
+    each query and in order of first appearance across queries. Expected
+    header: ``query_id,ref_id,outcome`` with outcome 1 meaning the query is
+    above the reference. Unknown reference ids, repeated pairs, and outcomes
+    other than 0/1 are data errors that name the file line.
     """
     path = Path(path)
     header, rows = read_table(path)
@@ -134,7 +132,6 @@ def load_comparisons_csv(
         raise DataError(
             f"{path}: expected header {','.join(COMPARISONS_HEADER)}, got {','.join(header)}"
         )
-    # query id -> reference id -> query_above, in file order
     grouped: dict[str, dict[str, bool]] = {}
     for line, cells in rows:
         query_id, ref_id, outcome = (cells[column].strip() for column in COMPARISONS_HEADER)
@@ -153,16 +150,7 @@ def load_comparisons_csv(
                 f"{(query_id, ref_id)}"
             )
         judged[ref_id] = outcome == "1"
-    try:
-        return {
-            qid: ComparisonSet.from_outcomes(
-                [ComparisonOutcome(qid, ref_id, above) for ref_id, above in judged.items()],
-                labels_by_id,
-            )
-            for qid, judged in grouped.items()
-        }
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return grouped
 
 
 def save_comparisons_csv(outcomes: Iterable[ComparisonOutcome], path: str | Path) -> None:
@@ -180,18 +168,19 @@ def save_comparisons_csv(outcomes: Iterable[ComparisonOutcome], path: str | Path
 
 def interactive_rank(
     query_id: str,
-    references: ReferenceSet,
+    ref_ids: Sequence[str],
     property_name: str = "the property",
     query_text: str | None = None,
     ref_texts: Mapping[str, str] | None = None,
     input_stream: TextIO | None = None,
     output_stream: TextIO | None = None,
-) -> ComparisonSet:
+) -> list[ComparisonOutcome]:
     """Collect comparisons from a human over a line-based prompt session.
 
-    One question per reference; answers y/n record an outcome, s(kip) asks
-    nothing further about that pair, and anything else re-prompts. End of
-    input ends the session early with whatever was collected so far.
+    One question per reference id, in order; answers y/n record an outcome,
+    s(kip) asks nothing further about that pair, and anything else
+    re-prompts. End of input ends the session early with whatever was
+    collected so far.
     """
     import sys
 
@@ -201,8 +190,8 @@ def interactive_rank(
     texts = ref_texts or {}
     outcomes: list[ComparisonOutcome] = []
     ended_early = False
-    for ref in references.references:
-        shown_ref = texts.get(ref.id, ref.id)
+    for ref_id in ref_ids:
+        shown_ref = texts.get(ref_id, ref_id)
         while True:
             stdout.write(
                 f"Is {property_name} of {shown_query} greater than that of {shown_ref}? [y/n/s] "
@@ -214,10 +203,10 @@ def interactive_rank(
                 break
             answer = line.strip().lower()
             if answer in ("y", "yes"):
-                outcomes.append(ComparisonOutcome(query_id, ref.id, True))
+                outcomes.append(ComparisonOutcome(query_id, ref_id, True))
                 break
             if answer in ("n", "no"):
-                outcomes.append(ComparisonOutcome(query_id, ref.id, False))
+                outcomes.append(ComparisonOutcome(query_id, ref_id, False))
                 break
             if answer in ("s", "skip"):
                 break
@@ -229,9 +218,9 @@ def interactive_rank(
             "query %s: input ended after %d of %d pairs; returning the partial session",
             query_id,
             len(outcomes),
-            len(references),
+            len(ref_ids),
         )
-    return ComparisonSet.from_outcomes(outcomes, references.labels_by_id())
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +400,13 @@ def llm_rank_batch(
     pairs: Sequence[tuple[str, str]],
     config: LlmRankerConfig,
     transport: Transport | None = None,
-) -> list[ComparisonOutcome]:
+) -> dict[int, bool]:
     """Rank text pairs with an LLM, in batches, with per-pair retries.
 
-    Each outcome's ids are the pair's texts (callers map texts back to their
-    own ids). Pairs whose answers cannot be parsed are resubmitted up to
-    ``config.max_retries`` more times and then excluded with a warning;
+    Returns pair index -> is_a_greater in index order, so callers match each
+    answer to their own ids by position, whether or not texts repeat. Pairs
+    whose answers cannot be parsed are resubmitted up to
+    ``config.max_retries`` more times and then left out with a warning;
     transport failures on the final attempt propagate.
     """
     if transport is None:
@@ -469,7 +459,4 @@ def llm_rank_batch(
             len(pair_list),
             config.max_retries + 1,
         )
-    return [
-        ComparisonOutcome(query_id=pair_list[i][0], ref_id=pair_list[i][1], query_above=results[i])
-        for i in sorted(results)
-    ]
+    return {i: results[i] for i in sorted(results)}

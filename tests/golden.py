@@ -32,6 +32,8 @@ GOLDEN = DATA / "golden"
 PROVENANCE = GOLDEN / "PROVENANCE.txt"
 
 SMALL = ("--synthetic-n", "80", "--train-size", "20", "--seeds", "1")
+SWEEP = ("sweep", *SMALL, "--accuracies", "0.6,0.8,1.0", "--ks", "5,10")
+BASELINE = ("baseline", *SMALL, "--accuracies", "0.6,0.9", "--k", "10")
 LLM = ("--endpoint", "https://example.invalid/v1/chat/completions", "--model", "solubility-ranker")
 REFINE = (
     "refine",
@@ -40,13 +42,13 @@ REFINE = (
     "--comparisons", f"{INPUTS}/comparisons.csv",
 )
 
-# Command name -> argv; "{out}" is replaced by the command's output path.
+# Command name -> argv; ``run`` appends ``--out`` and the output path.
 COMMANDS: dict[str, tuple[str, ...]] = {
     "make-synthetic": ("make-synthetic", "--n", "80"),
-    "sweep": ("sweep", *SMALL, "--accuracies", "0.6,0.8,1.0", "--ks", "5,10"),
-    "sweep-clamp": ("sweep", *SMALL, "--accuracies", "0.6,0.8,1.0", "--ks", "5,10", "--clamp-c", "0.5"),
-    "baseline-projection": ("baseline", "--method", "projection", *SMALL, "--accuracies", "0.6,0.9", "--k", "10"),
-    "baseline-rbr": ("baseline", "--method", "rbr", *SMALL, "--accuracies", "0.6,0.9", "--k", "10"),
+    "sweep": SWEEP,
+    "sweep-clamp": (*SWEEP, "--clamp-c", "0.5"),
+    "baseline-projection": (*BASELINE, "--method", "projection"),
+    "baseline-rbr": (*BASELINE, "--method", "rbr"),
     "noise": ("noise", *SMALL, "--k", "10", "--bs", "0,1,5"),
     "validate-bound": ("validate-bound", "--samples", "10000"),
     "rank-oracle": (

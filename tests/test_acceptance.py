@@ -22,7 +22,6 @@ from rankrefine.core import (
     ComparisonOutcome,
     ComparisonSet,
     Estimate,
-    pra,
 )
 from rankrefine.experiments import (
     DEFAULT_ACCURACIES,
@@ -275,17 +274,15 @@ class TestCriterion8LlmPathway:
             model_name="solubility-ranker",
             property_description="aqueous solubility",
         )
-        outcomes = llm_rank_batch(
+        answers = llm_rank_batch(
             pairs, config, transport=load_replay_transport(REPLAY_FIXTURE)
         )
-        got = tuple((o.query_id, o.ref_id, o.query_above) for o in outcomes)
+        got = tuple((*pairs[i], above) for i, above in answers.items())
         replay_ok = got == self.EXPECTED
         again = llm_rank_batch(
             pairs, config, transport=load_replay_transport(REPLAY_FIXTURE)
         )
-        replay_ok = replay_ok and got == tuple(
-            (o.query_id, o.ref_id, o.query_above) for o in again
-        )
+        replay_ok = replay_ok and list(answers.items()) == list(again.items())
 
         # End-to-end with a simulated ranker at the user-study accuracy level.
         cells = [_compute_cell(ctx, 0.62, 20, MASTER_SEED) for ctx in seed_contexts]
@@ -293,14 +290,17 @@ class TestCriterion8LlmPathway:
             np.mean([_sweep_record(cell, dataset.name, 0.0).beta for cell in cells])
         )
 
-        truth = dict(zip(dataset.ids, (float(v) for v in dataset.y)))
-        agreements = [
-            outcome
-            for cell in cells
-            for comps in cell.comparisons
-            for outcome in comps.outcomes
-        ]
-        realized_pra = pra(agreements, truth)
+        # A judgment agrees with the truth when a reference ranked below the
+        # query has a lower label, or one ranked above it a higher label; the
+        # oracle never pairs a query with a reference of equal label.
+        agreements = np.concatenate(
+            [
+                np.concatenate([comps.below_labels < y, comps.above_labels > y])
+                for cell in cells
+                for comps, y in zip(cell.comparisons, cell.ctx.test.y)
+            ]
+        )
+        realized_pra = float(np.mean(agreements))
 
         _report(
             8,

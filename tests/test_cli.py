@@ -325,6 +325,26 @@ class TestRankLlmReplay:
         assert "ranked 6 of 6 pairs" in capsys.readouterr().out
         assert out.read_text() == self.EXPECTED
 
+    def test_repeated_texts_keep_their_own_ids(self, tmp_path, capsys):
+        """q1 and q3 share a text, so their text pairs are identical; each
+        answer still lands on its own (query id, reference id), in pair order."""
+        _, references, _ = self._inputs(tmp_path)
+        queries = _write(
+            tmp_path / "queries.csv", "id,text\nq1,CCO\nq2,c1ccccc1O\nq3,CCO\n"
+        )
+        out = tmp_path / "out.csv"
+        code = main([
+            "rank", "--source", "llm", "--queries", queries,
+            "--references", references, "--k", "0",
+            "--endpoint", "https://example.invalid/v1/chat/completions",
+            "--model", "solubility-ranker",
+            "--replay", str(REPLAY_FIXTURE),
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert "ranked 9 of 9 pairs" in capsys.readouterr().out
+        assert out.read_text() == self.EXPECTED + "q3,r1,1\nq3,r2,0\nq3,r3,0\n"
+
     def test_negative_k_is_usage_error_before_any_request(self, tmp_path, capsys, monkeypatch):
         queries, references, _ = self._inputs(tmp_path)
         transports = []
@@ -457,6 +477,12 @@ class TestExperimentCommands:
         ]) == 0
         assert "max |empirical - alpha|" in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == "alpha,empirical_beta,n_samples"
+
+    def test_validate_bound_without_alphas_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        assert main(["validate-bound", "--alphas", "", "--out", str(out)]) == 2
+        assert "at least one alpha" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_make_synthetic_round_trips(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
