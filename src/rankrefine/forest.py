@@ -4,10 +4,14 @@ Written from scratch so the split rule, tie-breaking, and seeding are fully
 specified: axis-aligned splits at midpoints between consecutive sorted
 unique feature values, chosen over every feature to minimize the summed
 squared error of the two children, with ties broken toward the first
-candidate encountered in feature-index order. Trees are fully deep: a node
-splits unless its labels are all equal. Each tree draws its bootstrap
-sample from its own substream of the forest seed, so a forest can be grown
-tree-by-tree in any order and come out identical.
+candidate encountered in feature-index order. Each node's search is one
+column-wise pass: a stable sort of every feature column, column cumsums of
+the labels and their squares (each the sequential sum a per-feature loop
+takes), and an (n - 1) x d cost matrix whose argmin is taken over its
+transpose, which reads it feature by feature and so keeps that tie rule.
+Trees are fully deep: a node splits unless its labels are all equal. Each
+tree draws its bootstrap sample from its own substream of the forest seed,
+so a forest can be grown tree-by-tree in any order and come out identical.
 
 The ensemble mean is the prediction; the unbiased sample variance of the
 per-tree predictions is its uncertainty, floored at ``VARIANCE_FLOOR`` to
@@ -77,32 +81,27 @@ class TrainedForest:
 
 def _best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[int, float] | None:
     n = rows.size
-    best_cost = math.inf
-    best: tuple[int, float] | None = None
-    for f in range(X.shape[1]):
-        xs_unsorted = X[rows, f]
-        order = np.argsort(xs_unsorted, kind="stable")
-        xs = xs_unsorted[order]
-        if xs[0] == xs[-1]:
-            continue
-        ys = y[rows][order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        sse_left = csq[:-1] - csum[:-1] ** 2 / n_left
-        sse_right = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / n_right
-        cost = np.where(xs[:-1] < xs[1:], sse_left + sse_right, math.inf)
-        pos = int(np.argmin(cost))
-        if cost[pos] < best_cost:
-            thr = 0.5 * (xs[pos] + xs[pos + 1])
-            if not xs[pos] < thr:
-                # Adjacent doubles: the midpoint rounded onto the left value;
-                # the right value still separates the two sides under "< thr".
-                thr = float(xs[pos + 1])
-            best_cost = float(cost[pos])
-            best = (f, float(thr))
-    return best
+    xr = X[rows]
+    order = np.argsort(xr, axis=0, kind="stable")
+    xs = np.take_along_axis(xr, order, axis=0)
+    ys = y[rows][order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    sse_left = csq[:-1] - csum[:-1] ** 2 / n_left
+    sse_right = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / n_right
+    cost = np.where(xs[:-1] < xs[1:], sse_left + sse_right, math.inf)
+    f, pos = divmod(int(np.argmin(cost.T)), n - 1)
+    if not cost[pos, f] < math.inf:
+        # Every feature is constant, or the label squares overflowed.
+        return None
+    thr = 0.5 * (xs[pos, f] + xs[pos + 1, f])
+    if not xs[pos, f] < thr:
+        # Adjacent doubles: the midpoint rounded onto the left value;
+        # the right value still separates the two sides under "< thr".
+        thr = xs[pos + 1, f]
+    return f, float(thr)
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray) -> RegressionTree:
