@@ -123,8 +123,8 @@ def load_comparisons_csv(
     Returns query id -> reference id -> query_above, in file order within
     each query and in order of first appearance across queries. Expected
     header: ``query_id,ref_id,outcome`` with outcome 1 meaning the query is
-    above the reference. Unknown reference ids, repeated pairs, and outcomes
-    other than 0/1 are data errors that name the file line.
+    above the reference. Empty query ids, unknown reference ids, repeated
+    pairs, and outcomes other than 0/1 are data errors that name the file line.
     """
     path = Path(path)
     header, rows = read_table(path)
@@ -135,6 +135,8 @@ def load_comparisons_csv(
     grouped: dict[str, dict[str, bool]] = {}
     for line, cells in rows:
         query_id, ref_id, outcome = (cells[column].strip() for column in COMPARISONS_HEADER)
+        if not query_id:
+            raise DataError(f"{path}: row {line}, column 'query_id': empty id")
         if outcome not in ("0", "1"):
             raise DataError(
                 f"{path}: row {line}, column 'outcome': outcome must be 0 or 1, got {outcome!r}"

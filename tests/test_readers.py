@@ -53,6 +53,8 @@ CASES = [
      ["row 3", "column 'ref_id'", "duplicate", "'r1'"]),
     ("comparisons", "unknown ref", "query_id,ref_id,outcome\nq,r1,1\n\nq,r9,0\n",
      ["row 4", "column 'ref_id'", "unknown", "'r9'"]),
+    ("comparisons", "empty query id", "query_id,ref_id,outcome\nq,r1,1\n ,r2,0\n",
+     ["row 3", "column 'query_id': empty id"]),
     ("queries", "empty", "", ["empty file"]),
     ("queries", "missing column", "name,y\nq1,1.0\n", ["'id'"]),
     ("queries", "short row", "id,y,text\nq1,1.0\n", ["row 2"]),
@@ -115,3 +117,18 @@ def test_rank_oracle_exits_3_on_empty_query_id(tmp_path, capsys):
     ])
     assert code == 3
     assert f"{queries}: row 3, column 'id': empty id" in capsys.readouterr().err
+
+
+def test_rank_file_exits_3_on_empty_query_id(tmp_path, capsys):
+    comparisons = tmp_path / "comp.csv"
+    comparisons.write_text("query_id,ref_id,outcome\n,r1,1\nq,r2,0\n")
+    references = tmp_path / "refs.csv"
+    references.write_text("id,y\nr1,1.0\nr2,2.0\n")
+    out = tmp_path / "out.csv"
+    code = main([
+        "rank", "--source", "file", "--comparisons", str(comparisons),
+        "--references", str(references), "--out", str(out),
+    ])
+    assert code == 3
+    assert f"{comparisons}: row 2, column 'query_id': empty id" in capsys.readouterr().err
+    assert not out.exists()
