@@ -152,6 +152,19 @@ class TestRefine:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_label_range_is_numeric_error(self, tmp_path, capsys):
+        predictions = _write(tmp_path / "pred.csv", "id,y_reg,var_reg\np1,0.0,1.0\n")
+        references = _write(tmp_path / "refs.csv", "id,y\nr1,1e308\nr2,-1e308\n")
+        comparisons = _write(tmp_path / "comp.csv", "query_id,ref_id,outcome\np1,r1,0\np1,r2,1\n")
+        out = tmp_path / "refined.csv"
+        code = main([
+            "refine", "--predictions", predictions, "--references", references,
+            "--comparisons", comparisons, "--out", str(out),
+        ])
+        assert code == 4
+        assert "label range [-1e+308, 1e+308]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_id_with_a_comma_stays_one_cell(self, tmp_path, capsys):
         predictions = _write(tmp_path / "pred.csv", 'id,y_reg,var_reg\n"a,b",1.0,1.0\n')
         references = _write(tmp_path / "refs.csv", "id,y\nr1,0.0\n")

@@ -1,4 +1,5 @@
-"""Likelihood solver: hand-checked values, grid-search agreement, clamping."""
+"""Likelihood solver: hand-checked values, grid-search agreement, clamping,
+and bit-identity with the one-step-at-a-time bisection it replaced."""
 
 import math
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from rankrefine import rank
 from rankrefine.core import ComparisonOutcome, ComparisonSet
-from rankrefine.errors import ValidationError
+from rankrefine.errors import NumericError, ValidationError
 from rankrefine.rank import (
     RankEstimate,
     bt_nll,
@@ -32,6 +34,74 @@ def _comparison_set(below=(), above=()):
         labels[rid] = float(label)
         outcomes.append(ComparisonOutcome("q", rid, False))
     return ComparisonSet.from_outcomes(outcomes, labels)
+
+
+def _reference_nll_derivative(candidate, comparisons):
+    below = expit(comparisons.below_labels - candidate)
+    above = expit(candidate - comparisons.above_labels)
+    return float(np.sum(above) - np.sum(below))
+
+
+def _reference_solve_rank_estimate(comparisons):
+    """The scalar bisection loop, one derivative call per step."""
+    lo, hi = search_domain(comparisons)
+    d_lo = _reference_nll_derivative(lo, comparisons)
+    d_hi = _reference_nll_derivative(hi, comparisons)
+
+    if d_lo >= 0.0:
+        value = lo
+        clamped = d_lo > rank.TOLERANCE
+    elif d_hi <= 0.0:
+        value = hi
+        clamped = d_hi < -rank.TOLERANCE
+    else:
+        value = 0.5 * (lo + hi)
+        clamped = False
+        for _ in range(rank.MAX_ITERATIONS):
+            d_mid = _reference_nll_derivative(value, comparisons)
+            if abs(d_mid) <= rank.TOLERANCE:
+                break
+            if d_mid < 0.0:
+                lo = value
+            else:
+                hi = value
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                value = mid
+                break
+            value = mid
+
+    return RankEstimate(
+        value=value, variance=fisher_variance(value, comparisons), clamped=clamped
+    )
+
+
+# Side lengths on both sides of numpy's pairwise-sum thresholds (an 8-way
+# unrolled loop from 8 elements, recursive halving above 128).
+FUZZ_SIDE_SIZES = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 40, 127, 128, 129, 200, 300)
+
+
+def _fuzzed_sets(count, seed=2026):
+    """Comparison sets with sizes, scales, ties and sidedness the solver must
+    handle; every fifth set is symmetric, so its derivative is exactly zero
+    at the first midpoint."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    while len(sets) < count:
+        scale = 10.0 ** rng.uniform(-6.0, 150.0)
+        centre = scale * rng.uniform(-3.0, 3.0)
+        if len(sets) % 5 == 4:
+            gaps = scale * np.abs(rng.normal(size=int(rng.choice(FUZZ_SIDE_SIZES[1:]))))
+            sets.append(ComparisonSet(centre - gaps, centre + gaps))
+            continue
+        n_below, n_above = (int(n) for n in rng.choice(FUZZ_SIDE_SIZES, size=2))
+        if n_below + n_above == 0:
+            continue
+        labels = centre + scale * rng.normal(size=n_below + n_above)
+        if rng.random() < 0.3:
+            labels = np.round(labels / scale) * scale
+        sets.append(ComparisonSet(labels[:n_below], labels[n_below:]))
+    return sets
 
 
 def _grid_minimum(cs, lo, hi, step=1e-4):
@@ -77,6 +147,17 @@ class TestNll:
 
 
 class TestSearchDomain:
+    @pytest.mark.parametrize(
+        "cs",
+        [ComparisonSet([-1e308], [1e308]), ComparisonSet([math.nan], [])],
+        ids=["overflowing range", "nan label"],
+    )
+    def test_non_finite_domain_raises_numeric_error(self, cs):
+        with pytest.raises(NumericError, match="label range"):
+            search_domain(cs)
+        with pytest.raises(NumericError, match="label range"):
+            solve_rank_estimate(cs)
+
     def test_widened_by_margin(self):
         cs = _comparison_set(below=[0.0], above=[4.0])
         lo, hi = search_domain(cs)
@@ -135,6 +216,38 @@ class TestSolver:
     def test_empty_comparisons_rejected(self):
         with pytest.raises(ValidationError):
             solve_rank_estimate(_comparison_set())
+
+
+class TestBitIdentity:
+    """The round-based solver returns exactly what the scalar loop returns."""
+
+    def test_fuzzed_sets_match_the_scalar_loop(self):
+        reached = {"lo": 0, "hi": 0, "first midpoint": 0, "bisected": 0, "clamped": 0}
+        for cs in _fuzzed_sets(2400):
+            got = solve_rank_estimate(cs)
+            want = _reference_solve_rank_estimate(cs)
+            assert (got.value, got.variance, got.clamped) == (
+                want.value, want.variance, want.clamped
+            ), (cs.below_labels, cs.above_labels)
+            lo, hi = search_domain(cs)
+            reached["lo"] += got.value == lo
+            reached["hi"] += got.value == hi
+            reached["first midpoint"] += got.value == 0.5 * (lo + hi)
+            reached["bisected"] += lo < got.value < hi
+            reached["clamped"] += got.clamped
+        # Both domain edges, exact roots and the bisection are all exercised.
+        assert min(reached.values()) >= 50, reached
+        assert reached["first midpoint"] >= 480 and reached["bisected"] > 1500, reached
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 5, 7])
+    def test_iteration_cap_matches_the_scalar_loop(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(rank, "MAX_ITERATIONS", max_iterations)
+        for cs in _fuzzed_sets(40, seed=7):
+            got = solve_rank_estimate(cs)
+            want = _reference_solve_rank_estimate(cs)
+            assert (got.value, got.variance, got.clamped) == (
+                want.value, want.variance, want.clamped
+            )
 
 
 class TestFisherVariance:
