@@ -15,8 +15,6 @@ from .core import (
     ComparisonSet,
     Dataset,
     Estimate,
-    LabeledReference,
-    ReferenceSet,
     SplitSpec,
     beta,
     load_dataset_csv,
@@ -83,13 +81,11 @@ __all__ = [
     "FeasibleInterval",
     "ForestConfig",
     "FusedEstimate",
-    "LabeledReference",
     "LlmRankerConfig",
     "NumericError",
     "OracleRankerConfig",
     "RankEstimate",
     "RankRefineError",
-    "ReferenceSet",
     "ReplayTransport",
     "SplitSpec",
     "SweepGrid",

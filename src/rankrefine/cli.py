@@ -3,7 +3,8 @@
 One subcommand per workflow: refine predictions from files, generate
 comparisons with any ranker source, and run the sweep, baseline, noise,
 and bound-validation protocols. Exit codes: 0 success, 2 bad usage or
-arguments, 3 malformed data, 4 numeric failure, 5 network trouble.
+arguments, 3 malformed data or a file that cannot be read or written,
+4 numeric failure, 5 network trouble.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError("expected start:step:stop")
             start, step, stop = (float(p) for p in parts)
-            if step <= 0 or stop < start:
-                raise ValueError("need step > 0 and stop >= start")
+            if not (np.all(np.isfinite((start, step, stop))) and step > 0 and stop >= start):
+                raise ValueError("need finite values, step > 0 and stop >= start")
             values = []
             i = 0
             while True:
@@ -181,7 +182,7 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
 def cmd_refine(args: argparse.Namespace) -> None:
     check_clamp_c(args.clamp_c)
     ids, reg = _load_predictions(args.predictions)
-    labels = load_references_csv(args.references).labels_by_id()
+    labels = load_references_csv(args.references)
     grouped = load_comparisons_csv(args.comparisons, labels)
     known = set(ids)
     for qid in grouped:
@@ -242,18 +243,15 @@ def _rank_oracle(args: argparse.Namespace) -> None:
     references = load_references_csv(args.references)
     oracle = OracleRankerConfig(accuracy=args.accuracy, seed=args.seed)
     outcomes = []
-    for query in queries.references:
-        rng = derive_rng("refs", args.seed, query.id)
-        outcomes.extend(
-            generate_comparisons(query.id, query.label, references, args.k, oracle, rng)
-        )
+    for qid, y_query in queries.items():
+        rng = derive_rng("refs", args.seed, qid)
+        outcomes.extend(generate_comparisons(qid, y_query, references, args.k, oracle, rng))
     save_comparisons_csv(outcomes, args.out)
     print(f"wrote {len(outcomes)} comparisons -> {args.out}")
 
 
 def _rank_file(args: argparse.Namespace) -> None:
-    references = load_references_csv(args.references)
-    grouped = load_comparisons_csv(args.comparisons, references.labels_by_id())
+    grouped = load_comparisons_csv(args.comparisons, load_references_csv(args.references))
     outcomes = [
         ComparisonOutcome(qid, rid, above)
         for qid, judged in grouped.items()
@@ -335,7 +333,7 @@ def _rank_llm(args: argparse.Namespace) -> None:
     if args.truth:
         # Reference labels are already known; the truth file only has to
         # cover the queries (it may restate or override references).
-        labels = {**ref_labels, **load_references_csv(args.truth).labels_by_id()}
+        labels = {**ref_labels, **load_references_csv(args.truth)}
         score = pra(outcomes, labels)
         print(f"PRA against truth: {score:.4f} over {len(outcomes)} pairs")
 

@@ -8,7 +8,8 @@ shared freely.
 Ids live at the edges and labels at the solver: a ``ComparisonOutcome``
 names its query and reference by id where comparisons are read, written or
 asked for, and a ``ComparisonSet`` holds only the reference labels the rank
-estimate reads.
+estimate reads. References themselves are one ``dict`` of id -> label, in
+file or row order.
 """
 
 from __future__ import annotations
@@ -29,43 +30,6 @@ logger = logging.getLogger(__name__)
 TARGET_COLUMN = "y"
 ID_COLUMN = "id"
 TEXT_COLUMN = "text"
-
-
-@dataclass(frozen=True)
-class LabeledReference:
-    """An item whose property value is known."""
-
-    id: str
-    label: float
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("reference id must be a non-empty string")
-        if not math.isfinite(self.label):
-            raise ValidationError(
-                f"reference {self.id!r} has non-finite label {self.label!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ReferenceSet:
-    """An ordered collection of labeled references with distinct ids."""
-
-    references: tuple[LabeledReference, ...]
-
-    def __post_init__(self) -> None:
-        if not self.references:
-            raise ValidationError("reference set must not be empty")
-        ids = [ref.id for ref in self.references]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValidationError(f"duplicate reference ids: {dupes}")
-
-    def __len__(self) -> int:
-        return len(self.references)
-
-    def labels_by_id(self) -> dict[str, float]:
-        return {ref.id: ref.label for ref in self.references}
 
 
 @dataclass(frozen=True)
@@ -233,11 +197,9 @@ class Dataset:
             name=self.name,
         )
 
-    def to_reference_set(self) -> ReferenceSet:
-        refs = tuple(
-            LabeledReference(i, float(v)) for i, v in zip(self.ids, self.y)
-        )
-        return ReferenceSet(refs)
+    def labels_by_id(self) -> dict[str, float]:
+        """Each row's id and target, in row order: the rows as references."""
+        return dict(zip(self.ids, self.y.tolist()))
 
 
 @dataclass(frozen=True)
@@ -459,20 +421,24 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
     """Write a CSV file with a header row; the one writer of every CSV output.
 
     Floats, numpy floats among them, are written as ``repr(float(v))``,
-    which keeps full precision, so reruns write byte-identical files.
+    which keeps full precision, so reruns write byte-identical files. A path
+    that cannot be written is a DataError naming it.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def load_references_csv(path: str | Path) -> ReferenceSet:
-    """Load labeled references from any CSV having ``id`` and ``y`` columns."""
+def load_references_csv(path: str | Path) -> dict[str, float]:
+    """Load reference id -> label, in file order, from any CSV having ``id`` and ``y`` columns."""
     path = Path(path)
     _, rows = read_table(path, (ID_COLUMN, TARGET_COLUMN), (TARGET_COLUMN,), key=ID_COLUMN)
-    refs = tuple(LabeledReference(cells[ID_COLUMN], cells[TARGET_COLUMN]) for _, cells in rows)
-    if not refs:
+    labels = {cells[ID_COLUMN]: cells[TARGET_COLUMN] for _, cells in rows}
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    return ReferenceSet(refs)
+    return labels

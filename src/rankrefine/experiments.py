@@ -33,7 +33,6 @@ from .core import (
     ComparisonSet,
     Dataset,
     Estimate,
-    ReferenceSet,
     SplitSpec,
     beta,
     mae,
@@ -189,7 +188,6 @@ class _SeedContext:
     seed_index: int
     train: Dataset
     test: Dataset
-    references: ReferenceSet
     model: TrainedForest
     reg: Estimate
     mae_reg: float
@@ -218,7 +216,6 @@ def _build_seed_context(
         seed_index=seed_index,
         train=train,
         test=test,
-        references=train.to_reference_set(),
         model=model,
         reg=Estimate(reg_values, reg_variances),
         mae_reg=mae(reg_values, test.y),
@@ -257,11 +254,11 @@ def _compute_cell(
     oracle = OracleRankerConfig(
         accuracy=accuracy, seed=derive_seed("oracle-seed", master_seed, ctx.seed_index)
     )
-    labels_by_id = ctx.references.labels_by_id()
+    labels_by_id = ctx.train.labels_by_id()
     comparisons = []
     for qid, y_true in zip(ctx.test.ids, ctx.test.y):
         rng = derive_rng("refs", master_seed, ctx.seed_index, qid)
-        outcomes = generate_comparisons(qid, float(y_true), ctx.references, k, oracle, rng)
+        outcomes = generate_comparisons(qid, float(y_true), labels_by_id, k, oracle, rng)
         comparisons.append(ComparisonSet.from_outcomes(outcomes, labels_by_id))
     estimates = [solve_rank_estimate(comps) for comps in comparisons]
     return _Cell(

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 import numpy as np
 import requests
 
-from .core import ComparisonOutcome, LabeledReference, ReferenceSet, read_table, write_table
+from .core import ComparisonOutcome, read_table, write_table
 from .errors import DataError, TransportError, ValidationError
 from .seeding import unit_uniform
 
@@ -55,7 +55,8 @@ class OracleRankerConfig:
 def oracle_compare(
     query_id: str,
     y_query: float,
-    reference: LabeledReference,
+    ref_id: str,
+    ref_label: float,
     config: OracleRankerConfig,
     pair_index: int,
 ) -> ComparisonOutcome:
@@ -66,37 +67,41 @@ def oracle_compare(
     rather than resampling them all; sweeps across accuracies share their
     randomness, which keeps paired comparisons low-variance.
     """
-    if y_query == reference.label:
+    if y_query == ref_label:
         raise ValidationError(
-            f"query {query_id!r} ties reference {reference.id!r}; a tied pair has no "
+            f"query {query_id!r} ties reference {ref_id!r}; a tied pair has no "
             "correct answer and must be excluded upstream"
         )
-    truth = y_query > reference.label
+    truth = y_query > ref_label
     u = unit_uniform("oracle", config.seed, query_id, pair_index)
     query_above = truth if u < config.accuracy else not truth
-    return ComparisonOutcome(query_id=query_id, ref_id=reference.id, query_above=query_above)
+    return ComparisonOutcome(query_id=query_id, ref_id=ref_id, query_above=query_above)
 
 
 def generate_comparisons(
     query_id: str,
     y_query: float,
-    references: ReferenceSet,
+    labels_by_id: Mapping[str, float],
     k: int,
     config: OracleRankerConfig,
     rng: np.random.Generator,
 ) -> list[ComparisonOutcome]:
     """Ask the oracle to judge the query against k sampled references.
 
-    References tying the query's value are ineligible (no correct answer
-    exists for them). The k references are the first k of a permutation of
-    the eligible pool drawn from ``rng``, so with the same generator state a
-    larger k extends the smaller k's sample rather than replacing it. The
-    i-th chosen reference is judged with pair index i.
+    ``labels_by_id`` maps each reference id to its known label; ids must be
+    non-empty and labels finite. References tying the query's value are
+    ineligible (no correct answer exists for them). The k references are the
+    first k of a permutation of the eligible pool, in mapping order, drawn
+    from ``rng``, so with the same generator state a larger k extends the
+    smaller k's sample rather than replacing it. The i-th chosen reference is
+    judged with pair index i.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    eligible = [ref for ref in references.references if ref.label != y_query]
-    skipped = len(references) - len(eligible)
+    if "" in labels_by_id or not all(map(math.isfinite, labels_by_id.values())):
+        raise ValidationError("references need non-empty ids and finite labels")
+    eligible = [(rid, label) for rid, label in labels_by_id.items() if label != y_query]
+    skipped = len(labels_by_id) - len(eligible)
     if skipped:
         logger.warning(
             "query %s: excluded %d references tied with the query value", query_id, skipped
@@ -106,8 +111,10 @@ def generate_comparisons(
             f"query {query_id!r}: k={k} exceeds the {len(eligible)} eligible references"
         )
     order = rng.permutation(len(eligible))
-    chosen = [eligible[i] for i in order[:k]]
-    return [oracle_compare(query_id, y_query, ref, config, i) for i, ref in enumerate(chosen)]
+    return [
+        oracle_compare(query_id, y_query, *eligible[j], config, i)
+        for i, j in enumerate(order[:k])
+    ]
 
 
 # ---------------------------------------------------------------------------

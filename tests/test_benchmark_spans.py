@@ -1,0 +1,44 @@
+"""The benchmark's tracer still attaches to every layer its workloads use.
+
+``benchmarks/spans.py`` records per-layer spans by rebinding public entry
+points by name. A change under ``src/`` that renames or bypasses one of them
+would leave that layer reading as zero work; this runs the small golden
+``refine``, ``sweep`` and ``noise`` commands under the tracer and checks that
+each records the spans its benchmark workload expects.
+"""
+
+import csv
+import sys
+from pathlib import Path
+
+import pytest
+
+import rankrefine.cli  # noqa: F401  (imported before tracing, as the benchmark does)
+from golden import INPUTS, run
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _traced(name, tmp_path):
+    tracer = spans.Tracer()
+    with tracer.active(), tracer.span(spans.PASS_SPAN):
+        run(name, tmp_path)
+    return tracer
+
+
+@pytest.mark.parametrize("workload", [workloads.Refine, workloads.Sweep, workloads.Noise])
+def test_workload_spans_fire(workload, tmp_path):
+    tracer = _traced(workload.name, tmp_path)
+    missing = sorted(span for span in workload.expected_spans if not tracer.spans[span])
+    assert not missing, f"{workload.name}: no span recorded for {missing}"
+    if workload.expects_hashes:
+        assert tracer.counts["seeding.hashes"] > 0
+
+
+def test_refine_counts_every_comparison_row(tmp_path):
+    with open(INPUTS / "comparisons.csv", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row][1:]
+    assert _traced("refine", tmp_path).counts["rankers.rows_read"] == len(rows)

@@ -60,6 +60,18 @@ class TestArgParsing:
         with pytest.raises(ValidationError):
             _parse_float_list("1.0:-0.1:0.5", "x")
 
+    @pytest.mark.parametrize("text", ["0:1:inf", "0.5:0.05:nan", "0.5:nan:1"])
+    def test_float_list_rejects_non_finite_range(self, text):
+        # Each of these once looped forever, growing its value list.
+        with pytest.raises(ValidationError, match="finite"):
+            _parse_float_list(text, "x")
+
+    def test_non_finite_range_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        assert main(["noise", "--bs", "0:1:inf", "--out", str(out)]) == 2
+        assert "need finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_list(self):
         assert _parse_int_list("10,20,30", "k") == (10, 20, 30)
         with pytest.raises(ValidationError):
@@ -151,6 +163,19 @@ class TestRefine:
         ])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_out_is_data_error(self, refine_inputs, tmp_path, capsys):
+        predictions, references, comparisons = refine_inputs
+        out = tmp_path / "missing" / "o.csv"
+        for argv in (
+            ["refine", "--predictions", predictions, "--references", references,
+             "--comparisons", comparisons],
+            ["validate-bound", "--alphas", "0.5", "--samples", "10000"],
+        ):
+            assert main([*argv, "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert f"cannot write {out}" in err
+            assert "Traceback" not in err
 
     def test_overflowing_label_range_is_numeric_error(self, tmp_path, capsys):
         predictions = _write(tmp_path / "pred.csv", "id,y_reg,var_reg\np1,0.0,1.0\n")

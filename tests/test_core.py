@@ -9,8 +9,6 @@ from rankrefine.core import (
     ComparisonOutcome,
     ComparisonSet,
     Dataset,
-    LabeledReference,
-    ReferenceSet,
     Estimate,
     SplitSpec,
     beta,
@@ -35,19 +33,6 @@ def _dataset(n=12, d=3, seed=0):
 
 
 class TestValueObjects:
-    def test_reference_rejects_non_finite_label(self):
-        with pytest.raises(ValidationError):
-            LabeledReference("a", float("nan"))
-        with pytest.raises(ValidationError):
-            LabeledReference("a", float("inf"))
-
-    def test_reference_set_rejects_empty_and_duplicates(self):
-        with pytest.raises(ValidationError):
-            ReferenceSet(())
-        dup = (LabeledReference("a", 1.0), LabeledReference("a", 2.0))
-        with pytest.raises(ValidationError):
-            ReferenceSet(dup)
-
     def test_regressor_estimate_requires_positive_variance(self):
         Estimate(0.0, 1e-12)
         with pytest.raises(ValidationError):
@@ -125,10 +110,11 @@ class TestDataset:
         np.testing.assert_array_equal(sub.y, ds.y[[3, 1]])
         np.testing.assert_array_equal(sub.features, ds.features[[3, 1]])
 
-    def test_to_reference_set_carries_labels(self):
-        ds = _dataset(n=5)
-        refs = ds.to_reference_set()
-        assert refs.labels_by_id() == {i: float(v) for i, v in zip(ds.ids, ds.y)}
+    def test_labels_by_id_in_row_order(self):
+        ds = _dataset(n=5).subset([4, 0, 2])
+        labels = ds.labels_by_id()
+        assert list(labels.items()) == [(i, float(v)) for i, v in zip(ds.ids, ds.y)]
+        assert all(type(v) is float for v in labels.values())
 
 
 class TestResplit:
@@ -249,6 +235,7 @@ class TestCsvRoundTrips:
 
     def test_references_csv(self, tmp_path):
         path = tmp_path / "refs.csv"
-        path.write_text("id,y,extra\na,1.5,ignored\nb,-2.0,ignored\n")
-        refs = load_references_csv(path)
-        assert refs.labels_by_id() == {"a": 1.5, "b": -2.0}
+        path.write_text("id,y,extra\nb,1.5,ignored\na,-2,ignored\n")
+        labels = load_references_csv(path)
+        assert list(labels.items()) == [("b", 1.5), ("a", -2.0)]
+        assert all(type(v) is float for v in labels.values())

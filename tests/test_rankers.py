@@ -6,7 +6,7 @@ import json
 import pytest
 import requests
 
-from rankrefine.core import ComparisonOutcome, LabeledReference, ReferenceSet
+from rankrefine.core import ComparisonOutcome
 from rankrefine.errors import DataError, TransportError, ValidationError
 from rankrefine.rankers import (
     DEFAULT_PROMPT_TEMPLATE,
@@ -28,9 +28,7 @@ from rankrefine.seeding import derive_rng
 
 
 def _refs(labels):
-    return ReferenceSet(
-        tuple(LabeledReference(f"ref{i}", float(v)) for i, v in enumerate(labels))
-    )
+    return {f"ref{i}": float(v) for i, v in enumerate(labels)}
 
 
 class TestOracle:
@@ -43,25 +41,23 @@ class TestOracle:
 
     def test_perfect_oracle_always_truthful(self):
         config = OracleRankerConfig(accuracy=1.0, seed=0)
-        ref = LabeledReference("r", 1.0)
         for i in range(200):
-            out = oracle_compare("q", 2.0, ref, config, i)
+            out = oracle_compare("q", 2.0, "r", 1.0, config, i)
             assert out.query_above
-            out = oracle_compare("q", 0.0, ref, config, i)
+            out = oracle_compare("q", 0.0, "r", 1.0, config, i)
             assert not out.query_above
 
     def test_tie_rejected(self):
         config = OracleRankerConfig(accuracy=0.9)
         with pytest.raises(ValidationError):
-            oracle_compare("q", 1.0, LabeledReference("r", 1.0), config, 0)
+            oracle_compare("q", 1.0, "r", 1.0, config, 0)
 
     def test_realized_accuracy_matches_configured(self):
         # Binomial: at n=5000 the realized rate sits within ~3 sigma.
         for acc in (0.62, 0.8):
             config = OracleRankerConfig(accuracy=acc, seed=3)
-            ref = LabeledReference("r", 0.0)
             hits = sum(
-                oracle_compare(f"q{j}", 1.0, ref, config, i).query_above
+                oracle_compare(f"q{j}", 1.0, "r", 0.0, config, i).query_above
                 for j in range(50)
                 for i in range(100)
             )
@@ -71,12 +67,11 @@ class TestOracle:
     def test_shared_draws_across_accuracies(self):
         # The flip draw depends only on (seed, query, pair), so raising the
         # accuracy never turns a correct answer into a wrong one.
-        ref = LabeledReference("r", 0.0)
         lo = OracleRankerConfig(accuracy=0.6, seed=9)
         hi = OracleRankerConfig(accuracy=0.9, seed=9)
         for i in range(500):
-            correct_lo = oracle_compare("q", 1.0, ref, lo, i).query_above
-            correct_hi = oracle_compare("q", 1.0, ref, hi, i).query_above
+            correct_lo = oracle_compare("q", 1.0, "r", 0.0, lo, i).query_above
+            correct_hi = oracle_compare("q", 1.0, "r", 0.0, hi, i).query_above
             assert correct_hi or not correct_lo
 
 
@@ -113,6 +108,23 @@ class TestGenerateComparisons:
             generate_comparisons("q", 5.0, refs, 3, oracle, derive_rng("refs", 3))
         with pytest.raises(ValidationError):
             generate_comparisons("q", 5.0, refs, 0, oracle, derive_rng("refs", 3))
+        with pytest.raises(ValidationError, match="exceeds the 0 eligible"):
+            generate_comparisons("q", 5.0, {}, 1, oracle, derive_rng("refs", 3))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {"": 1.0, "b": 2.0},
+            {"a": float("nan")},
+            {"a": 1.0, "b": float("inf")},
+            {"a": float("-inf")},
+        ],
+        ids=["empty id", "nan", "inf", "-inf"],
+    )
+    def test_malformed_references_rejected(self, labels):
+        oracle = OracleRankerConfig(accuracy=1.0)
+        with pytest.raises(ValidationError, match="non-empty ids and finite labels"):
+            generate_comparisons("q", 5.0, labels, 1, oracle, derive_rng("refs", 4))
 
 
 class TestComparisonsCsv:
