@@ -47,6 +47,12 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "make-synthetic": ("make-synthetic", "--n", "80"),
     "sweep": SWEEP,
     "sweep-clamp": (*SWEEP, "--clamp-c", "0.5"),
+    # Integer-valued and constant feature columns and repeated labels: tied
+    # split candidates, constant-feature leaves and tied references.
+    "sweep-ties": (
+        "sweep", "--dataset", f"{INPUTS}/ties.csv", "--train-size", "30", "--seeds", "2",
+        "--accuracies", "0.7,1.0", "--ks", "3,8",
+    ),
     "baseline-projection": (*BASELINE, "--method", "projection"),
     "baseline-rbr": (*BASELINE, "--method", "rbr"),
     "noise": ("noise", *SMALL, "--k", "10", "--bs", "0,1,5"),
