@@ -380,7 +380,7 @@ def cmd_noise(args: argparse.Namespace) -> None:
     write_noise_csv(result, args.out)
     print(
         f"rank variance mean {result.rank_var_mean:.3f}, sd {result.rank_var_sd:.3f}; "
-        f"wrote {len(result.records)} records -> {args.out}"
+        f"wrote {len(result.bs)} records -> {args.out}"
     )
 
 

@@ -163,6 +163,11 @@ class SweepGrid:
             raise ValidationError(f"seeds must be >= 1, got {self.seeds}")
         if self.train_size < 2:
             raise ValidationError(f"train_size must be >= 2, got {self.train_size}")
+        if max(self.ks) > self.train_size:
+            raise ValidationError(
+                f"k={max(self.ks)} exceeds the {self.train_size} training rows"
+                " that serve as references"
+            )
         check_clamp_c(self.clamp_c)
 
 
@@ -439,6 +444,11 @@ class NoiseSweepResult:
     rank_var_mean: float
     rank_var_sd: float
 
+    @property
+    def bs(self) -> list[float]:
+        """The distinct perturbation half-widths, ascending."""
+        return sorted({r.b for r in self.records})
+
     def mean_beta(self, b: float) -> float:
         betas = [r.beta for r in self.records if r.b == b]
         if not betas:
@@ -526,5 +536,4 @@ def write_baseline_csv(records: Sequence[BaselineDeltaRecord], path: str | Path)
 
 def write_noise_csv(result: NoiseSweepResult, path: str | Path) -> None:
     """Mean beta per perturbation half-width, averaged over seeds."""
-    bs = sorted({r.b for r in result.records})
-    write_table(path, ["b", "beta"], ((b, result.mean_beta(b)) for b in bs))
+    write_table(path, ["b", "beta"], ((b, result.mean_beta(b)) for b in result.bs))

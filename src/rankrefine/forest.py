@@ -4,18 +4,31 @@ Written from scratch so the split rule, tie-breaking, and seeding are fully
 specified: axis-aligned splits at midpoints between consecutive sorted
 unique feature values, chosen over every feature to minimize the summed
 squared error of the two children, with ties broken toward the first
-candidate encountered in feature-index order. Each node's search is one
-column-wise pass: a stable sort of every feature column, column cumsums of
-the labels and their squares (each the sequential sum a per-feature loop
-takes), and an (n - 1) x d cost matrix whose argmin is taken over its
-transpose, which reads it feature by feature and so keeps that tie rule.
-Trees are fully deep: a node splits unless its labels are all equal. Each
-tree draws its bootstrap sample from its own substream of the forest seed,
-so a forest can be grown tree-by-tree in any order and come out identical.
+candidate encountered in feature-index order. Trees are fully deep: a node
+splits unless its labels are all equal or every feature is constant on it,
+and a leaf holds ``np.mean`` of its labels. Each tree draws its bootstrap
+sample from its own substream of the forest seed, so a tree does not depend
+on how many others grow beside it.
 
-The ensemble mean is the prediction; the unbiased sample variance of the
-per-tree predictions is its uncertainty, floored at ``VARIANCE_FLOOR`` to
-keep downstream inverse-variance arithmetic finite.
+All trees grow together, one depth level at a time. The nodes of a level
+that need a split are sorted by size and searched in blocks of at most
+``_BLOCK_ELEMENTS`` padded feature values. In a block each node's rows are
+padded to the largest node's count with +inf features; every feature column
+is stably sorted, and column cumsums of the labels and their squares (each
+the sequential sum a per-feature loop takes) give both children's squared
+error at every gap. Gaps between equal values and gaps into the padding are
+no candidates. The argmin over each node's (feature, gap) costs reads them
+feature by feature, which keeps the tie rule. A cost that is not finite
+means the label sums overflowed float64 and raises ``NumericError``.
+Children keep their parent's row order. The grown nodes are numbered as a
+node-by-node grower numbers them: the root is node 0, and each split node,
+taken in a depth-first order that visits right subtrees first, gives its
+children the next two free numbers, left then right.
+
+Prediction walks every tree's rows at once over the trees' concatenated
+node arrays. The ensemble mean is the prediction; the unbiased sample
+variance of the per-tree predictions is its uncertainty, floored at
+``VARIANCE_FLOOR`` to keep downstream inverse-variance arithmetic finite.
 """
 
 from __future__ import annotations
@@ -26,10 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, Estimate
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .seeding import derive_rng
 
 VARIANCE_FLOOR = 1e-9
+
+# Padded feature values (nodes x rows x features) per split-search block;
+# bounds the search's working memory whatever the forest's size.
+_BLOCK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -56,22 +73,6 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=float)
-        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            f = int(self.feature[node])
-            if f < 0:
-                out[rows] = self.value[node]
-                continue
-            goes_left = X[rows, f] < self.threshold[node]
-            stack.append((int(self.left[node]), rows[goes_left]))
-            stack.append((int(self.right[node]), rows[~goes_left]))
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class TrainedForest:
@@ -79,91 +80,183 @@ class TrainedForest:
     n_features: int
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[int, float] | None:
-    n = rows.size
-    xr = X[rows]
-    order = np.argsort(xr, axis=0, kind="stable")
-    xs = np.take_along_axis(xr, order, axis=0)
-    ys = y[rows][order]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    n_left = np.arange(1, n)[:, None]
-    n_right = n - n_left
-    sse_left = csq[:-1] - csum[:-1] ** 2 / n_left
-    sse_right = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / n_right
-    cost = np.where(xs[:-1] < xs[1:], sse_left + sse_right, math.inf)
-    f, pos = divmod(int(np.argmin(cost.T)), n - 1)
-    if not cost[pos, f] < math.inf:
-        # Every feature is constant, or the label squares overflowed.
-        return None
-    thr = 0.5 * (xs[pos, f] + xs[pos + 1, f])
-    if not xs[pos, f] < thr:
-        # Adjacent doubles: the midpoint rounded onto the left value;
-        # the right value still separates the two sides under "< thr".
-        thr = xs[pos + 1, f]
-    return f, float(thr)
+def _best_splits(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (feature, threshold) of each node of one block; feature -1 where none exists.
+
+    Node i holds ``rows[starts[i]:starts[i] + sizes[i]]``, at least two rows.
+    """
+    width = int(sizes.max())
+    real = np.arange(width) < sizes[:, None]
+    at = rows[np.where(real, starts[:, None] + np.arange(width), 0)]
+    x = np.where(real[:, None, :], X[at].transpose(0, 2, 1), math.inf)
+    order = np.argsort(x, axis=2, kind="stable")
+    xs = np.take_along_axis(x, order, axis=2)
+    ys = np.take_along_axis(np.where(real, y[at], 0.0)[:, None, :], order, axis=2)
+    node = np.arange(sizes.size)
+    n_left = np.arange(1, width)
+    n_right = sizes[:, None, None] - n_left
+    gap = (xs[..., :-1] < xs[..., 1:]) & (n_right > 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        csum = np.cumsum(ys, axis=2)
+        csq = np.cumsum(ys * ys, axis=2)
+        total_sum = csum[node, :, sizes - 1][:, :, None]
+        total_sq = csq[node, :, sizes - 1][:, :, None]
+        sse_left = csq[..., :-1] - csum[..., :-1] ** 2 / n_left
+        sse_right = (total_sq - csq[..., :-1]) - (total_sum - csum[..., :-1]) ** 2 / n_right
+        cost = sse_left + sse_right
+    if not np.all(np.isfinite(cost[gap])):
+        raise NumericError("split costs overflow float64: the labels are too large to square")
+    cost = np.where(gap, cost, math.inf).reshape(sizes.size, -1)
+    best = np.argmin(cost, axis=1)
+    feature, pos = np.divmod(best, width - 1)
+    lo = xs[node, feature, pos]
+    hi = xs[node, feature, pos + 1]
+    threshold = 0.5 * (lo + hi)
+    # Adjacent doubles: the midpoint rounded onto the left value; the right
+    # value still separates the two sides under "< threshold".
+    threshold = np.where(lo < threshold, threshold, hi)
+    found = cost[node, best] < math.inf
+    return np.where(found, feature, -1), np.where(found, threshold, 0.0)
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray) -> RegressionTree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+def _search(
+    X: np.ndarray, y: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_best_splits`` of every node, in blocks of similar sizes under the element budget."""
+    feature = np.empty(sizes.size, dtype=np.int64)
+    threshold = np.empty(sizes.size)
+    order = np.argsort(sizes, kind="stable")
+    per_node = sizes[order] * X.shape[1]
+    i = 0
+    while i < order.size:
+        # The block order[i:j] pads every node to its last, largest one.
+        padded = np.arange(1, order.size - i + 1) * per_node[i:]
+        j = i + max(1, int(np.searchsorted(padded, _BLOCK_ELEMENTS, side="right")))
+        block = order[i:j]
+        feature[block], threshold[block] = _best_splits(X, y, rows, starts[block], sizes[block])
+        i = j
+    return feature, threshold
 
-    def alloc() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
 
-    root = alloc()
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(y.size), root)]
-    while stack:
-        rows, slot = stack.pop()
-        ys = y[rows]
-        split = None if np.all(ys == ys[0]) else _best_split(X, y, rows)
-        if split is None:
-            value[slot] = float(np.mean(ys))
-            continue
-        f, thr = split
-        feature[slot] = f
-        threshold[slot] = thr
-        left_slot = alloc()
-        right_slot = alloc()
-        left[slot] = left_slot
-        right[slot] = right_slot
-        goes_left = X[rows, f] < thr
-        stack.append((rows[goes_left], left_slot))
-        stack.append((rows[~goes_left], right_slot))
+def _grow_forest(
+    X: np.ndarray, y: np.ndarray, samples: list[np.ndarray]
+) -> tuple[RegressionTree, ...]:
+    """One tree per bootstrap sample of row indices, all grown a depth level at a time."""
+    n_trees = len(samples)
+    rows = np.concatenate(samples)
+    sizes = np.array([s.size for s in samples])
+    tree = np.arange(n_trees)
+    # Per level, in node order: tree, split feature (-1 at a leaf), threshold.
+    levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    leaf_rows: list[np.ndarray] = []
+    leaf_sizes: list[np.ndarray] = []
+    while sizes.size:
+        starts = np.cumsum(sizes) - sizes
+        labels = y[rows]
+        mixed = np.logical_or.reduceat(labels != np.repeat(labels[starts], sizes), starts)
+        feature = np.full(sizes.size, -1, dtype=np.int64)
+        threshold = np.zeros(sizes.size)
+        open_ = np.flatnonzero(mixed)
+        if open_.size:
+            feature[open_], threshold[open_] = _search(X, y, rows, starts[open_], sizes[open_])
+        levels.append((tree, feature, threshold))
+        split = feature >= 0
+        in_split = np.repeat(split, sizes)
+        leaf_rows.append(rows[~in_split])
+        leaf_sizes.append(sizes[~split])
+        # Children of the k-th split node are nodes 2k (left) and 2k + 1 of
+        # the next level; a stable sort keeps each child's rows in order.
+        rows = rows[in_split]
+        counts = sizes[split]
+        parent = np.repeat(np.arange(counts.size), counts)
+        goes_left = X[rows, feature[split][parent]] < threshold[split][parent]
+        child = 2 * parent + ~goes_left
+        rows = rows[np.argsort(child, kind="stable")]
+        sizes = np.bincount(child, minlength=2 * counts.size)
+        tree = np.repeat(tree[split], 2)
 
-    return RegressionTree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=float),
+    # Internal nodes in each node's subtree, bottom up.
+    internal = [np.zeros(0, dtype=np.int64)]
+    for _, feature, _ in reversed(levels):
+        split = feature >= 0
+        count = split.astype(np.int64)
+        count[split] += internal[-1][0::2] + internal[-1][1::2]
+        internal.append(count)
+    internal = internal[:0:-1]
+    n_nodes = 2 * internal[0] + 1
+    first = np.cumsum(n_nodes) - n_nodes
+    # Top down: a split node with ``before`` internal nodes ahead of it in
+    # the right-first depth-first order numbers its children 2 * before + 1
+    # and + 2. Its right child comes next in that order, its left child
+    # after the right child's whole subtree.
+    before = np.zeros(n_trees, dtype=np.int64)
+    slot = np.zeros(n_trees, dtype=np.int64)
+    place, left, right = [], [], []
+    for depth, (tree, feature, _) in enumerate(levels):
+        split = feature >= 0
+        place.append(first[tree] + slot)
+        left.append(np.where(split, 2 * before + 1, -1))
+        right.append(np.where(split, 2 * before + 2, -1))
+        if depth + 1 < len(levels):
+            slot = np.stack([left[-1][split], right[-1][split]], axis=1).ravel()
+            ahead = before[split] + 1
+            before = np.stack([ahead + internal[depth + 1][1::2], ahead], axis=1).ravel()
+
+    where = np.concatenate(place)
+    feature = np.concatenate([feature for _, feature, _ in levels])
+
+    def placed(grown: np.ndarray, dtype: type) -> np.ndarray:
+        out = np.zeros(where.size, dtype=dtype)
+        out[where] = grown
+        return out
+
+    value = np.zeros(where.size)
+    value[where[feature < 0]] = _leaf_means(
+        y, np.concatenate(leaf_rows), np.concatenate(leaf_sizes)
     )
+    arrays = (
+        placed(feature, np.int32),
+        placed(np.concatenate([threshold for _, _, threshold in levels]), float),
+        placed(np.concatenate(left), np.int32),
+        placed(np.concatenate(right), np.int32),
+        value,
+    )
+    per_tree = zip(*(np.split(array, first[1:]) for array in arrays))
+    return tuple(RegressionTree(*parts) for parts in per_tree)
+
+
+def _leaf_means(y: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.mean`` of each leaf's labels in row order.
+
+    Leaves of one size share one row-wise mean, which adds each row as
+    ``np.mean`` adds it alone.
+    """
+    means = np.empty(sizes.size)
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        which = np.flatnonzero(sizes == size)
+        means[which] = y[rows[starts[which, None] + np.arange(size)]].mean(axis=1)
+    return means
 
 
 def fit(train: Dataset, config: ForestConfig = ForestConfig()) -> TrainedForest:
     """Grow the forest on the training split.
 
     Tree t draws its bootstrap rows from the substream
-    ("forest", config.seed, t), independent of every other tree.
+    ("forest", config.seed, t), independent of every other tree. Raises
+    NumericError when a node's label sums overflow float64.
     """
     if len(train) < 2:
         raise ValidationError(f"need at least 2 training rows, got {len(train)}")
-    X = train.features
-    y = train.y
     n = len(train)
-    trees = []
-    for t in range(config.n_trees):
-        rows = derive_rng("forest", config.seed, t).integers(0, n, size=n)
-        trees.append(_grow_tree(X[rows], y[rows]))
-    return TrainedForest(trees=tuple(trees), n_features=train.n_features)
+    samples = [
+        derive_rng("forest", config.seed, t).integers(0, n, size=n) for t in range(config.n_trees)
+    ]
+    return TrainedForest(
+        trees=_grow_forest(train.features, train.y, samples), n_features=train.n_features
+    )
 
 
 def _check_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
@@ -180,7 +273,31 @@ def _check_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
 def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
     """Per-tree predictions, shape (n_trees, n_rows)."""
     X = _check_matrix(model, X)
-    return np.stack([tree.predict(X) for tree in model.trees])
+    # Every tree's node arrays end to end, children as indices into them.
+    sizes = [tree.feature.size for tree in model.trees]
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in model.trees])
+        for name in ("feature", "threshold", "left", "right", "value")
+    )
+    left, right = left + shift, right + shift
+    n_rows = X.shape[0]
+    out = np.empty((roots.size, n_rows))
+    per_block = max(1, _BLOCK_ELEMENTS // max(n_rows, 1))
+    for first in range(0, roots.size, per_block):
+        # Position i of the block walks row i % n_rows down tree first + i // n_rows.
+        block = roots[first : first + per_block]
+        node = np.repeat(block, n_rows)
+        walking = np.flatnonzero(feature[node] >= 0)
+        while walking.size:
+            at = node[walking]
+            goes_left = X[walking % n_rows, feature[at]] < threshold[at]
+            at = np.where(goes_left, left[at], right[at])
+            node[walking] = at
+            walking = walking[feature[at] >= 0]
+        out[first : first + per_block] = value[node].reshape(block.size, n_rows)
+    return out
 
 
 def predict_with_variance_matrix(

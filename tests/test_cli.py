@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import rankrefine
-from rankrefine import cli
+from rankrefine import cli, forest
 from rankrefine.cli import _parse_float_list, _parse_int_list, main
-from rankrefine.core import load_dataset_csv
+from rankrefine.core import Dataset, load_dataset_csv, save_dataset_csv
+from rankrefine.experiments import make_synthetic_dataset
 from rankrefine.errors import ValidationError
 from rankrefine.rankers import load_replay_transport
 
@@ -506,6 +507,48 @@ class TestExperimentCommands:
         ]) == 0
         assert "rank variance mean" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) >= 3
+
+    def test_noise_reports_the_rows_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "noise.csv"
+        assert main([
+            "noise", *SMALL_DATA, "--bs", "0,1,1", "--k", "3",
+            "--accuracy", "0.9", "--seeds", "2", "--out", str(out),
+        ]) == 0
+        assert "wrote 2 records" in capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "1.0"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--ks", "70"],
+            ["baseline", "--method", "rbr", "--k", "70"],
+            ["noise", "--k", "70"],
+        ],
+    )
+    def test_k_beyond_train_size_is_usage_error_before_fitting(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("forest.fit called")
+
+        monkeypatch.setattr(forest, "fit", no_fit)
+        out = tmp_path / "out.csv"
+        argv = [*command, "--synthetic-n", "80", "--train-size", "20", "--out", str(out)]
+        assert main(argv) == 2
+        assert "k=70 exceeds the 20 training rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_labels_are_numeric_error(self, tmp_path, capsys):
+        ds = make_synthetic_dataset(n=80)
+        data = tmp_path / "huge.csv"
+        save_dataset_csv(Dataset(ids=ds.ids, features=ds.features, y=ds.y * 1e200), data)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--dataset", str(data), "--train-size", "20", "--seeds", "1",
+                "--accuracies", "0.8", "--ks", "5", "--out", str(out)]
+        assert main(argv) == 4
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_bound_command(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"

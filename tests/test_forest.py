@@ -7,14 +7,15 @@ import pytest
 
 from rankrefine import forest as forest_mod
 from rankrefine.core import Dataset, Estimate, SplitSpec, mae, resplit
-from rankrefine.errors import ValidationError
+from rankrefine.errors import NumericError, ValidationError
 from rankrefine.experiments import make_synthetic_dataset
 from rankrefine.forest import (
     ForestConfig,
     RegressionTree,
     TrainedForest,
-    _best_split,
+    _best_splits,
     fit,
+    predict_matrix,
     predict_with_variance,
     predict_with_variance_matrix,
 )
@@ -45,8 +46,9 @@ def _leaf_tree(value):
 
 
 def _reference_best_split(X, y, rows):
-    # The per-feature loop _best_split replaced, kept as the scalar reference
-    # its column-wise search must match bit for bit.
+    # The per-feature loop that the column-wise searches replaced, kept as the
+    # scalar reference the split kernel must match bit for bit. A gap cost
+    # that is not finite means the label sums overflowed float64.
     n = rows.size
     best_cost = math.inf
     best: tuple[int, float] | None = None
@@ -63,7 +65,10 @@ def _reference_best_split(X, y, rows):
         n_right = n - n_left
         sse_left = csq[:-1] - csum[:-1] ** 2 / n_left
         sse_right = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / n_right
-        cost = np.where(xs[:-1] < xs[1:], sse_left + sse_right, math.inf)
+        separates = xs[:-1] < xs[1:]
+        if not np.all(np.isfinite((sse_left + sse_right)[separates])):
+            raise NumericError("label sums overflow")
+        cost = np.where(separates, sse_left + sse_right, math.inf)
         pos = int(np.argmin(cost))
         if cost[pos] < best_cost:
             thr = 0.5 * (xs[pos] + xs[pos + 1])
@@ -76,8 +81,89 @@ def _reference_best_split(X, y, rows):
     return best
 
 
-def _fuzz_node(rng):
-    """One tie-heavy split problem: (X, y, rows, whether the label squares overflow)."""
+def _reference_node_split(X, y, rows):
+    # The per-node column-wise search the node-by-node grower used, checked
+    # against the per-feature loop when it replaced that loop.
+    n = rows.size
+    xr = X[rows]
+    order = np.argsort(xr, axis=0, kind="stable")
+    xs = np.take_along_axis(xr, order, axis=0)
+    ys = y[rows][order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    sse_left = csq[:-1] - csum[:-1] ** 2 / n_left
+    sse_right = (csq[-1] - csq[:-1]) - (csum[-1] - csum[:-1]) ** 2 / n_right
+    cost = np.where(xs[:-1] < xs[1:], sse_left + sse_right, math.inf)
+    f, pos = divmod(int(np.argmin(cost.T)), n - 1)
+    if not cost[pos, f] < math.inf:
+        return None
+    thr = 0.5 * (xs[pos, f] + xs[pos + 1, f])
+    if not xs[pos, f] < thr:
+        thr = xs[pos + 1, f]
+    return f, float(thr)
+
+
+def _reference_grow_tree(X, y):
+    # The node-by-node grower the level-wise one replaced: a stack of nodes,
+    # the right child popped first, children numbered when their parent splits.
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def alloc():
+        for array, empty in zip((feature, threshold, left, right, value), (-1, 0.0, -1, -1, 0.0)):
+            array.append(empty)
+        return len(feature) - 1
+
+    stack = [(np.arange(y.size), alloc())]
+    while stack:
+        rows, slot = stack.pop()
+        ys = y[rows]
+        split = None if np.all(ys == ys[0]) else _reference_node_split(X, y, rows)
+        if split is None:
+            value[slot] = float(np.mean(ys))
+            continue
+        feature[slot], threshold[slot] = split
+        left[slot], right[slot] = alloc(), alloc()
+        goes_left = X[rows, feature[slot]] < threshold[slot]
+        stack.append((rows[goes_left], left[slot]))
+        stack.append((rows[~goes_left], right[slot]))
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=float),
+    )
+
+
+def _reference_predict(tree, X):
+    # One tree's rows walked node by node.
+    out = np.empty(X.shape[0], dtype=float)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        f = int(tree.feature[node])
+        if f < 0:
+            out[rows] = tree.value[node]
+            continue
+        goes_left = X[rows, f] < tree.threshold[node]
+        stack.append((int(tree.left[node]), rows[goes_left]))
+        stack.append((int(tree.right[node]), rows[~goes_left]))
+    return out
+
+
+def _kernel(X, y, row_sets):
+    """The split kernel on one block of nodes, as the reference's tuples or None."""
+    sizes = np.array([rows.size for rows in row_sets])
+    feature, threshold = _best_splits(X, y, np.concatenate(row_sets), np.cumsum(sizes) - sizes, sizes)
+    return [None if f < 0 else (int(f), float(t)) for f, t in zip(feature, threshold)]
+
+
+def _fuzz_problem(rng):
+    """A tie-heavy (X, y) and 1-5 row sets of mixed sizes, each flagged if its label squares overflow."""
     n_rows = int(rng.integers(2, 30))
     d = int(rng.integers(1, 6))
     columns = []
@@ -103,9 +189,12 @@ def _fuzz_node(rng):
         y = rng.uniform(0.5, 1.0, n_rows) * 6e153
     else:
         y = rng.normal(size=n_rows) * 10.0 ** rng.uniform(150, 200)
-    rows = rng.integers(0, n_rows, size=int(rng.integers(2, 2 * n_rows + 1)))
-    overflow = label_kind == 3 and not np.isfinite(np.sum(y[rows] ** 2))
-    return X, y, rows, overflow
+    row_sets = [
+        rng.integers(0, n_rows, size=int(rng.integers(2, 2 * n_rows + 1)))
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+    overflow = [label_kind == 3 and not np.isfinite(np.sum(y[rows] ** 2)) for rows in row_sets]
+    return X, y, row_sets, overflow
 
 
 class TestSplitContract:
@@ -113,57 +202,133 @@ class TestSplitContract:
         rng = np.random.default_rng(20261018)
         overflowed = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(3000):
-                X, y, rows, overflow = _fuzz_node(rng)
-                expected = _reference_best_split(X, y, rows)
-                assert _best_split(X, y, rows) == expected
-                if overflow:
-                    assert expected is None
-                    overflowed += 1
+            for _ in range(1000):
+                X, y, row_sets, overflow = _fuzz_problem(rng)
+                expected = []
+                for rows, flagged in zip(row_sets, overflow):
+                    try:
+                        expected.append(_reference_best_split(X, y, rows))
+                    except NumericError:
+                        expected.append(NumericError)
+                    separable = np.any(np.ptp(X[rows], axis=0) > 0)
+                    assert expected[-1] is NumericError or not (flagged and separable)
+                fine = [rows for rows, e in zip(row_sets, expected) if e is not NumericError]
+                for rows in fine:
+                    assert _reference_node_split(X, y, rows) == _reference_best_split(X, y, rows)
+                if fine:
+                    assert _kernel(X, y, fine) == [e for e in expected if e is not NumericError]
+                for rows, e in zip(row_sets, expected):
+                    if e is NumericError:
+                        overflowed += 1
+                        with pytest.raises(NumericError):
+                            _kernel(X, y, [*fine, rows])
         assert overflowed > 100
 
     @pytest.mark.parametrize("seed_index", range(5))
-    def test_trees_bit_identical_to_scalar_reference(self, seed_index, monkeypatch):
+    def test_trees_bit_identical_to_scalar_reference(self, seed_index):
         ds = make_synthetic_dataset()
-        train, _ = resplit(ds, SplitSpec(train_size=50, seed=derive_seed("split", 0, seed_index)))
-        config = ForestConfig(n_trees=10, seed=derive_seed("forest-seed", 0, seed_index))
-        vectorised = fit(train, config)
-        monkeypatch.setattr(forest_mod, "_best_split", _reference_best_split)
-        reference = fit(train, config)
-        for ours, theirs in zip(vectorised.trees, reference.trees):
+        train, test = resplit(ds, SplitSpec(train_size=50, seed=derive_seed("split", 0, seed_index)))
+        config = ForestConfig(seed=derive_seed("forest-seed", 0, seed_index))
+        model = fit(train, config)
+        assert len(model.trees) == 100
+        for t, ours in enumerate(model.trees):
+            rows = derive_rng("forest", config.seed, t).integers(0, 50, size=50)
+            theirs = _reference_grow_tree(train.features[rows], train.y[rows])
             for name in ("feature", "threshold", "left", "right", "value"):
-                assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        expected = np.stack([_reference_predict(tree, test.features) for tree in model.trees])
+        assert predict_matrix(model, test.features).tobytes() == expected.tobytes()
+
+    def test_block_budget_does_not_change_the_forest(self, monkeypatch):
+        # One node per search block and one tree per walk block.
+        ds = make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1)
+        config = ForestConfig(n_trees=10, seed=3)
+        model = fit(ds, config)
+        monkeypatch.setattr(forest_mod, "_BLOCK_ELEMENTS", 1)
+        small = fit(ds, config)
+        for ours, theirs in zip(model.trees, small.trees):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+        assert np.array_equal(predict_matrix(small, ds.features), predict_matrix(model, ds.features))
 
     def test_feature_tie_goes_to_lower_index(self):
         # Both features split the labels perfectly (cost 0), feature 0 at the
         # third gap and feature 1 at the first: feature order decides.
         X = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0]])
         y = np.array([0.0, 0.0, 0.0, 5.0])
-        assert _best_split(X, y, np.arange(4)) == (0, 2.5)
+        assert _kernel(X, y, [np.arange(4)]) == [(0, 2.5)]
 
     def test_position_tie_goes_to_first_gap(self):
         # Splitting off either end leaves the same cost, 50 - 100 / 3.
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 5.0, 5.0, 0.0])
-        assert _best_split(X, y, np.arange(4)) == (0, 0.5)
+        assert _kernel(X, y, [np.arange(4)]) == [(0, 0.5)]
+
+    def test_ties_hold_beside_a_larger_node(self):
+        # The two tie cases above, each padded to a five-row node's width.
+        X = np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0], [4.0, 4.0]])
+        feature_tie = np.array([0.0, 0.0, 0.0, 5.0, 1.0])
+        position_tie = np.array([0.0, 5.0, 5.0, 0.0, 1.0])
+        wide = np.arange(5)
+        assert _kernel(X, feature_tie, [wide, np.arange(4)]) == [
+            _reference_best_split(X, feature_tie, wide),
+            (0, 2.5),
+        ]
+        assert _kernel(X[:, :1], position_tie, [wide, np.arange(4)]) == [
+            _reference_best_split(X[:, :1], position_tie, wide),
+            (0, 0.5),
+        ]
 
     def test_adjacent_doubles_split_at_the_right_value(self):
         x = 1.0
         X = np.array([[x], [np.nextafter(x, np.inf)]])
-        feature, thr = _best_split(X, np.array([0.0, 1.0]), np.arange(2))
+        [(feature, thr)] = _kernel(X, np.array([0.0, 1.0]), [np.arange(2)])
         assert (feature, thr) == (0, np.nextafter(x, np.inf))
         assert list(X[:, feature] < thr) == [True, False]
 
     def test_constant_features_give_one_leaf_holding_the_mean(self):
         X = np.ones((6, 2))
         y = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 7.0])
-        assert _best_split(X, y, np.arange(6)) is None
+        assert _kernel(X, y, [np.arange(6)]) == [None]
         ds = Dataset(ids=tuple(f"r{i}" for i in range(6)), features=X, y=y)
         model = fit(ds, ForestConfig(n_trees=3, seed=5))
         for t, tree in enumerate(model.trees):
             rows = derive_rng("forest", 5, t).integers(0, 6, size=6)
             assert list(tree.feature) == [-1]
             assert tree.value[0] == np.mean(y[rows])
+
+    def test_overflowing_label_sums_raise(self):
+        ds = make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1)
+        huge = Dataset(ids=ds.ids, features=ds.features, y=ds.y * 1e200)
+        with pytest.raises(NumericError, match="overflow"):
+            fit(huge, ForestConfig(n_trees=5, seed=0))
+
+
+class TestPredictWalk:
+    def test_batched_walk_matches_per_tree_walk(self):
+        # Nodes numbered out of depth-first order, beside one-leaf trees.
+        deep = RegressionTree(
+            feature=np.array([1, -1, 0, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.0, -0.25, 0.0, 0.0]),
+            left=np.array([2, -1, 4, -1, -1], dtype=np.int32),
+            right=np.array([1, -1, 3, -1, -1], dtype=np.int32),
+            value=np.array([0.0, 10.0, 0.0, 20.0, 30.0]),
+        )
+        model = TrainedForest(trees=(_leaf_tree(1.5), deep, _leaf_tree(-2.0), deep), n_features=2)
+        X = np.random.default_rng(3).uniform(-1, 1, size=(40, 2))
+        X[0] = [-0.25, 0.5]  # equal to both thresholds: goes right at each
+        expected = np.stack([_reference_predict(tree, X) for tree in model.trees])
+        assert np.array_equal(predict_matrix(model, X), expected)
+        assert set(np.unique(expected[1])) == {10.0, 20.0, 30.0}
+        assert predict_matrix(model, X[:1])[1, 0] == 10.0
+
+    def test_zero_rows_keep_the_tree_axis(self):
+        model = TrainedForest(trees=(_leaf_tree(0.0), _leaf_tree(2.0), _leaf_tree(4.0)), n_features=3)
+        assert predict_matrix(model, np.zeros((0, 3))).shape == (3, 0)
+        fitted = fit(_step_dataset(), ForestConfig(n_trees=4, seed=0))
+        assert predict_matrix(fitted, np.zeros((0, 1))).shape == (4, 0)
 
 
 class TestConfig:
