@@ -25,8 +25,8 @@ node-by-node grower numbers them: the root is node 0, and each split node,
 taken in a depth-first order that visits right subtrees first, gives its
 children the next two free numbers, left then right.
 
-Prediction walks every tree's rows at once over the trees' concatenated
-node arrays. The ensemble mean is the prediction; the unbiased sample
+Prediction walks many trees' rows at once, in blocks under the same budget,
+over the trees' concatenated node arrays. The ensemble mean is the prediction; the unbiased sample
 variance of the per-tree predictions is its uncertainty, floored at
 ``VARIANCE_FLOOR`` to keep downstream inverse-variance arithmetic finite.
 """
@@ -44,8 +44,9 @@ from .seeding import derive_rng
 
 VARIANCE_FLOOR = 1e-9
 
-# Padded feature values (nodes x rows x features) per split-search block;
-# bounds the search's working memory whatever the forest's size.
+# Elements per block: padded feature values (nodes x rows x features) in a
+# split search, (tree, row) pairs in a prediction walk. Bounds the working
+# memory of both whatever the forest's or the input's size.
 _BLOCK_ELEMENTS = 4096
 
 
@@ -177,14 +178,14 @@ def _grow_forest(
         sizes = np.bincount(child, minlength=2 * counts.size)
         tree = np.repeat(tree[split], 2)
 
-    # Internal nodes in each node's subtree, bottom up.
+    # Internal nodes in each node's subtree, bottom up; the last level's
+    # children are an empty level.
     internal = [np.zeros(0, dtype=np.int64)]
     for _, feature, _ in reversed(levels):
         split = feature >= 0
         count = split.astype(np.int64)
-        count[split] += internal[-1][0::2] + internal[-1][1::2]
-        internal.append(count)
-    internal = internal[:0:-1]
+        count[split] += internal[0][0::2] + internal[0][1::2]
+        internal.insert(0, count)
     n_nodes = 2 * internal[0] + 1
     first = np.cumsum(n_nodes) - n_nodes
     # Top down: a split node with ``before`` internal nodes ahead of it in
@@ -199,10 +200,9 @@ def _grow_forest(
         place.append(first[tree] + slot)
         left.append(np.where(split, 2 * before + 1, -1))
         right.append(np.where(split, 2 * before + 2, -1))
-        if depth + 1 < len(levels):
-            slot = np.stack([left[-1][split], right[-1][split]], axis=1).ravel()
-            ahead = before[split] + 1
-            before = np.stack([ahead + internal[depth + 1][1::2], ahead], axis=1).ravel()
+        slot = np.stack([left[-1][split], right[-1][split]], axis=1).ravel()
+        ahead = before[split] + 1
+        before = np.stack([ahead + internal[depth + 1][1::2], ahead], axis=1).ravel()
 
     where = np.concatenate(place)
     feature = np.concatenate([feature for _, feature, _ in levels])

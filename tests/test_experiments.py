@@ -107,6 +107,8 @@ class TestOracleSweep:
             SweepGrid(seeds=0)
         with pytest.raises(ValidationError):
             SweepGrid(clamp_c=-0.1)
+        with pytest.raises(ValidationError, match="k=51 exceeds the 50 training rows"):
+            SweepGrid(ks=(10, 51), train_size=50)
 
     def test_master_seed_changes_results(self):
         ds = _fast_dataset()

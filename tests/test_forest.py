@@ -82,8 +82,8 @@ def _reference_best_split(X, y, rows):
 
 
 def _reference_node_split(X, y, rows):
-    # The per-node column-wise search the node-by-node grower used, checked
-    # against the per-feature loop when it replaced that loop.
+    # The per-node column-wise search the node-by-node grower used; the fuzz
+    # below holds it to the per-feature loop.
     n = rows.size
     xr = X[rows]
     order = np.argsort(xr, axis=0, kind="stable")
