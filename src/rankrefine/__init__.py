@@ -35,7 +35,7 @@ from .forest import (
     ForestConfig,
     TrainedForest,
     fit,
-    predict_with_variance,
+    predict_with_variance_matrix,
 )
 from .fusion import (
     FusedEstimate,
@@ -108,7 +108,7 @@ __all__ = [
     "make_synthetic_dataset",
     "oracle_compare",
     "pra",
-    "predict_with_variance",
+    "predict_with_variance_matrix",
     "projection_refine",
     "rbr_refine",
     "regularize_rank_variance",

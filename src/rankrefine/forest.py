@@ -20,15 +20,14 @@ error at every gap. Gaps between equal values and gaps into the padding are
 no candidates. The argmin over each node's (feature, gap) costs reads them
 feature by feature, which keeps the tie rule. A cost that is not finite
 means the label sums overflowed float64 and raises ``NumericError``.
-Children keep their parent's row order. The grown nodes are numbered as a
-node-by-node grower numbers them: the root is node 0, and each split node,
-taken in a depth-first order that visits right subtrees first, gives its
-children the next two free numbers, left then right.
+Children keep their parent's row order. Each tree numbers its nodes
+breadth-first from the root, a left child just before its right sibling.
 
 Prediction walks many trees' rows at once, in blocks under the same budget,
-over the trees' concatenated node arrays. The ensemble mean is the prediction; the unbiased sample
-variance of the per-tree predictions is its uncertainty, floored at
-``VARIANCE_FLOOR`` to keep downstream inverse-variance arithmetic finite.
+over the trees' concatenated node arrays. The ensemble mean is the
+prediction; the unbiased sample variance of the per-tree predictions is its
+uncertainty, floored at ``VARIANCE_FLOOR`` to keep downstream
+inverse-variance arithmetic finite.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Estimate
+from .core import Dataset
 from .errors import NumericError, ValidationError
 from .seeding import derive_rng
 
@@ -66,12 +65,14 @@ class ForestConfig:
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """One CART tree as parallel node arrays; ``feature == -1`` marks a leaf."""
+    """One CART tree as parallel node arrays; ``feature == -1`` marks a leaf.
+
+    A split node's left child is node ``left`` and its right child ``left + 1``.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
 
 
@@ -114,10 +115,12 @@ def _best_splits(
     feature, pos = np.divmod(best, width - 1)
     lo = xs[node, feature, pos]
     hi = xs[node, feature, pos + 1]
-    threshold = 0.5 * (lo + hi)
-    # Adjacent doubles: the midpoint rounded onto the left value; the right
-    # value still separates the two sides under "< threshold".
-    threshold = np.where(lo < threshold, threshold, hi)
+    with np.errstate(over="ignore"):
+        threshold = 0.5 * (lo + hi)
+    # Adjacent doubles (the midpoint rounded onto the left value) or a sum
+    # past the float64 maximum: the right value still separates the two
+    # sides under "< threshold".
+    threshold = np.where((lo < threshold) & (threshold < math.inf), threshold, hi)
     found = cost[node, best] < math.inf
     return np.where(found, feature, -1), np.where(found, threshold, 0.0)
 
@@ -178,52 +181,22 @@ def _grow_forest(
         sizes = np.bincount(child, minlength=2 * counts.size)
         tree = np.repeat(tree[split], 2)
 
-    # Internal nodes in each node's subtree, bottom up; the last level's
-    # children are an empty level.
-    internal = [np.zeros(0, dtype=np.int64)]
-    for _, feature, _ in reversed(levels):
-        split = feature >= 0
-        count = split.astype(np.int64)
-        count[split] += internal[0][0::2] + internal[0][1::2]
-        internal.insert(0, count)
-    n_nodes = 2 * internal[0] + 1
+    tree, feature, threshold = (np.concatenate(parts) for parts in zip(*levels))
+    split = feature >= 0
+    # Levels end to end: the i-th split node's children are nodes
+    # n_trees + 2i (left) and n_trees + 2i + 1.
+    left = np.where(split, n_trees + 2 * np.cumsum(split) - 2, -1)
+    value = np.zeros(feature.size)
+    value[~split] = _leaf_means(y, np.concatenate(leaf_rows), np.concatenate(leaf_sizes))
+    # A stable sort by tree gives each tree its nodes breadth-first.
+    order = np.argsort(tree, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    n_nodes = np.bincount(tree)
     first = np.cumsum(n_nodes) - n_nodes
-    # Top down: a split node with ``before`` internal nodes ahead of it in
-    # the right-first depth-first order numbers its children 2 * before + 1
-    # and + 2. Its right child comes next in that order, its left child
-    # after the right child's whole subtree.
-    before = np.zeros(n_trees, dtype=np.int64)
-    slot = np.zeros(n_trees, dtype=np.int64)
-    place, left, right = [], [], []
-    for depth, (tree, feature, _) in enumerate(levels):
-        split = feature >= 0
-        place.append(first[tree] + slot)
-        left.append(np.where(split, 2 * before + 1, -1))
-        right.append(np.where(split, 2 * before + 2, -1))
-        slot = np.stack([left[-1][split], right[-1][split]], axis=1).ravel()
-        ahead = before[split] + 1
-        before = np.stack([ahead + internal[depth + 1][1::2], ahead], axis=1).ravel()
-
-    where = np.concatenate(place)
-    feature = np.concatenate([feature for _, feature, _ in levels])
-
-    def placed(grown: np.ndarray, dtype: type) -> np.ndarray:
-        out = np.zeros(where.size, dtype=dtype)
-        out[where] = grown
-        return out
-
-    value = np.zeros(where.size)
-    value[where[feature < 0]] = _leaf_means(
-        y, np.concatenate(leaf_rows), np.concatenate(leaf_sizes)
-    )
-    arrays = (
-        placed(feature, np.int32),
-        placed(np.concatenate([threshold for _, _, threshold in levels]), float),
-        placed(np.concatenate(left), np.int32),
-        placed(np.concatenate(right), np.int32),
-        value,
-    )
-    per_tree = zip(*(np.split(array, first[1:]) for array in arrays))
+    left = np.where(split, position[left] - first[tree], -1)
+    arrays = (feature.astype(np.int32), threshold, left.astype(np.int32), value)
+    per_tree = zip(*(np.split(array[order], first[1:]) for array in arrays))
     return tuple(RegressionTree(*parts) for parts in per_tree)
 
 
@@ -277,11 +250,11 @@ def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
     sizes = [tree.feature.size for tree in model.trees]
     roots = np.cumsum(sizes) - sizes
     shift = np.repeat(roots, sizes)
-    feature, threshold, left, right, value = (
+    feature, threshold, left, value = (
         np.concatenate([getattr(tree, name) for tree in model.trees])
-        for name in ("feature", "threshold", "left", "right", "value")
+        for name in ("feature", "threshold", "left", "value")
     )
-    left, right = left + shift, right + shift
+    left = left + shift
     n_rows = X.shape[0]
     out = np.empty((roots.size, n_rows))
     per_block = max(1, _BLOCK_ELEMENTS // max(n_rows, 1))
@@ -293,7 +266,7 @@ def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
         while walking.size:
             at = node[walking]
             goes_left = X[walking % n_rows, feature[at]] < threshold[at]
-            at = np.where(goes_left, left[at], right[at])
+            at = left[at] + ~goes_left
             node[walking] = at
             walking = walking[feature[at] >= 0]
         out[first : first + per_block] = value[node].reshape(block.size, n_rows)
@@ -309,13 +282,3 @@ def predict_with_variance_matrix(
     variances = np.maximum(per_tree.var(axis=0, ddof=1), VARIANCE_FLOOR)
     return means, variances
 
-
-def predict_with_variance(model: TrainedForest, features: np.ndarray) -> Estimate:
-    """Prediction and uncertainty for a single feature vector."""
-    features = np.asarray(features, dtype=float)
-    if features.shape != (model.n_features,):
-        raise ValidationError(
-            f"features have shape {features.shape}, expected ({model.n_features},)"
-        )
-    means, variances = predict_with_variance_matrix(model, features.reshape(1, -1))
-    return Estimate(value=float(means[0]), variance=float(variances[0]))

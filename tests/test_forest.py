@@ -1,12 +1,13 @@
 """Bagged CART forest: splits, determinism, and variance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from rankrefine import forest as forest_mod
-from rankrefine.core import Dataset, Estimate, SplitSpec, mae, resplit
+from rankrefine.core import Dataset, SplitSpec, mae, resplit
 from rankrefine.errors import NumericError, ValidationError
 from rankrefine.experiments import make_synthetic_dataset
 from rankrefine.forest import (
@@ -16,7 +17,6 @@ from rankrefine.forest import (
     _best_splits,
     fit,
     predict_matrix,
-    predict_with_variance,
     predict_with_variance_matrix,
 )
 from rankrefine.seeding import derive_rng, derive_seed
@@ -40,7 +40,6 @@ def _leaf_tree(value):
         feature=np.array([-1]),
         threshold=np.array([0.0]),
         left=np.array([-1]),
-        right=np.array([-1]),
         value=np.array([float(value)]),
     )
 
@@ -71,10 +70,12 @@ def _reference_best_split(X, y, rows):
         cost = np.where(separates, sse_left + sse_right, math.inf)
         pos = int(np.argmin(cost))
         if cost[pos] < best_cost:
-            thr = 0.5 * (xs[pos] + xs[pos + 1])
-            if not xs[pos] < thr:
-                # Adjacent doubles: the midpoint rounded onto the left value;
-                # the right value still separates the two sides under "< thr".
+            with np.errstate(over="ignore"):
+                thr = 0.5 * (xs[pos] + xs[pos + 1])
+            if not xs[pos] < thr < math.inf:
+                # Adjacent doubles (the midpoint rounded onto the left value)
+                # or an overflowing sum: the right value still separates the
+                # two sides under "< thr".
                 thr = float(xs[pos + 1])
             best_cost = float(cost[pos])
             best = (f, float(thr))
@@ -99,8 +100,9 @@ def _reference_node_split(X, y, rows):
     f, pos = divmod(int(np.argmin(cost.T)), n - 1)
     if not cost[pos, f] < math.inf:
         return None
-    thr = 0.5 * (xs[pos, f] + xs[pos + 1, f])
-    if not xs[pos, f] < thr:
+    with np.errstate(over="ignore"):
+        thr = 0.5 * (xs[pos, f] + xs[pos + 1, f])
+    if not xs[pos, f] < thr < math.inf:
         thr = xs[pos + 1, f]
     return f, float(thr)
 
@@ -128,12 +130,30 @@ def _reference_grow_tree(X, y):
         goes_left = X[rows, feature[slot]] < threshold[slot]
         stack.append((rows[goes_left], left[slot]))
         stack.append((rows[~goes_left], right[slot]))
+    return {
+        "feature": np.array(feature, dtype=np.int32),
+        "threshold": np.array(threshold, dtype=float),
+        "left": np.array(left, dtype=np.int32),
+        "right": np.array(right, dtype=np.int32),
+        "value": np.array(value, dtype=float),
+    }
+
+
+def _breadth_first(grown):
+    # The reference grower's nodes renumbered breadth-first, left child first,
+    # as a RegressionTree.
+    order = [0]
+    for node in order:
+        if grown["feature"][node] >= 0:
+            order += [grown["left"][node], grown["right"][node]]
+    number = np.empty(len(order), dtype=np.int32)
+    number[order] = np.arange(len(order))
+    feature = grown["feature"][order]
     return RegressionTree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=float),
+        feature=feature,
+        threshold=grown["threshold"][order],
+        left=np.where(feature >= 0, number[grown["left"][order]], np.int32(-1)),
+        value=grown["value"][order],
     )
 
 
@@ -151,8 +171,23 @@ def _reference_predict(tree, X):
             continue
         goes_left = X[rows, f] < tree.threshold[node]
         stack.append((int(tree.left[node]), rows[goes_left]))
-        stack.append((int(tree.right[node]), rows[~goes_left]))
+        stack.append((int(tree.left[node]) + 1, rows[~goes_left]))
     return out
+
+
+def _assert_matches_reference(model, train, seed, X):
+    # Every tree equals the reference grower's tree on its bootstrap rows,
+    # renumbered breadth-first, and the batched walk equals per-tree walks.
+    n = len(train)
+    for t, ours in enumerate(model.trees):
+        rows = derive_rng("forest", seed, t).integers(0, n, size=n)
+        theirs = _breadth_first(_reference_grow_tree(train.features[rows], train.y[rows]))
+        for name in ("feature", "threshold", "left", "value"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+    expected = np.stack([_reference_predict(tree, X) for tree in model.trees])
+    assert predict_matrix(model, X).tobytes() == expected.tobytes()
 
 
 def _kernel(X, y, row_sets):
@@ -231,15 +266,7 @@ class TestSplitContract:
         config = ForestConfig(seed=derive_seed("forest-seed", 0, seed_index))
         model = fit(train, config)
         assert len(model.trees) == 100
-        for t, ours in enumerate(model.trees):
-            rows = derive_rng("forest", config.seed, t).integers(0, 50, size=50)
-            theirs = _reference_grow_tree(train.features[rows], train.y[rows])
-            for name in ("feature", "threshold", "left", "right", "value"):
-                a, b = getattr(ours, name), getattr(theirs, name)
-                assert a.dtype == b.dtype
-                assert a.tobytes() == b.tobytes()
-        expected = np.stack([_reference_predict(tree, test.features) for tree in model.trees])
-        assert predict_matrix(model, test.features).tobytes() == expected.tobytes()
+        _assert_matches_reference(model, train, config.seed, test.features)
 
     def test_block_budget_does_not_change_the_forest(self, monkeypatch):
         # One node per search block and one tree per walk block.
@@ -249,9 +276,19 @@ class TestSplitContract:
         monkeypatch.setattr(forest_mod, "_BLOCK_ELEMENTS", 1)
         small = fit(ds, config)
         for ours, theirs in zip(model.trees, small.trees):
-            for name in ("feature", "threshold", "left", "right", "value"):
+            for name in ("feature", "threshold", "left", "value"):
                 assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
         assert np.array_equal(predict_matrix(small, ds.features), predict_matrix(model, ds.features))
+
+    def test_nodes_are_numbered_breadth_first(self):
+        # Breadth-first, the i-th split node's children are nodes 2i + 1 and 2i + 2.
+        model = fit(make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1), ForestConfig(seed=2))
+        for tree in model.trees:
+            split = tree.feature >= 0
+            n_split = int(split.sum())
+            assert tree.feature.size == 1 + 2 * n_split
+            assert np.array_equal(tree.left[split], 1 + 2 * np.arange(n_split))
+            assert np.all(tree.left[~split] == -1)
 
     def test_feature_tie_goes_to_lower_index(self):
         # Both features split the labels perfectly (cost 0), feature 0 at the
@@ -299,6 +336,16 @@ class TestSplitContract:
             assert list(tree.feature) == [-1]
             assert tree.value[0] == np.mean(y[rows])
 
+    def test_overflowing_thresholds_take_the_right_value(self):
+        # Adjacent feature values sum past the float64 maximum.
+        X = np.linspace(1.5e308, 1.7e308, 8).reshape(-1, 1)
+        y = np.arange(8.0)
+        ds = Dataset(ids=tuple(f"r{i}" for i in range(8)), features=X, y=y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit(ds, ForestConfig(n_trees=3, seed=0))
+        _assert_matches_reference(model, ds, 0, X)
+
     def test_overflowing_label_sums_raise(self):
         ds = make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1)
         huge = Dataset(ids=ds.ids, features=ds.features, y=ds.y * 1e200)
@@ -308,13 +355,12 @@ class TestSplitContract:
 
 class TestPredictWalk:
     def test_batched_walk_matches_per_tree_walk(self):
-        # Nodes numbered out of depth-first order, beside one-leaf trees.
+        # Nodes numbered out of breadth-first order, beside one-leaf trees.
         deep = RegressionTree(
-            feature=np.array([1, -1, 0, -1, -1], dtype=np.int32),
-            threshold=np.array([0.5, 0.0, -0.25, 0.0, 0.0]),
-            left=np.array([2, -1, 4, -1, -1], dtype=np.int32),
-            right=np.array([1, -1, 3, -1, -1], dtype=np.int32),
-            value=np.array([0.0, 10.0, 0.0, 20.0, 30.0]),
+            feature=np.array([1, -1, -1, 0, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.0, 0.0, -0.25, 0.0]),
+            left=np.array([3, -1, -1, 1, -1], dtype=np.int32),
+            value=np.array([0.0, 30.0, 20.0, 0.0, 10.0]),
         )
         model = TrainedForest(trees=(_leaf_tree(1.5), deep, _leaf_tree(-2.0), deep), n_features=2)
         X = np.random.default_rng(3).uniform(-1, 1, size=(40, 2))
@@ -386,15 +432,6 @@ class TestVariance:
         )
         _, variances = predict_with_variance_matrix(model, np.zeros((1, 1)))
         assert variances[0] == 1e-9
-
-    def test_single_row_helper(self):
-        model = TrainedForest(
-            trees=(_leaf_tree(0.0), _leaf_tree(2.0)),
-            n_features=1,
-        )
-        est = predict_with_variance(model, np.zeros(1))
-        assert isinstance(est, Estimate)
-        assert (est.value, est.variance) == (1.0, 2.0)
 
 
 class TestAgainstReferenceImplementation:
