@@ -281,4 +281,3 @@ def predict_with_variance_matrix(
     means = per_tree.mean(axis=0)
     variances = np.maximum(per_tree.var(axis=0, ddof=1), VARIANCE_FLOOR)
     return means, variances
-
