@@ -51,13 +51,14 @@ from .rank import (
 )
 from .rankers import (
     LlmRankerConfig,
+    OracleDraws,
     OracleRankerConfig,
     ReplayTransport,
+    draw_oracle,
     generate_comparisons,
     interactive_rank,
     llm_rank_batch,
     load_comparisons_csv,
-    oracle_compare,
     save_comparisons_csv,
 )
 from .experiments import (
@@ -83,6 +84,7 @@ __all__ = [
     "FusedEstimate",
     "LlmRankerConfig",
     "NumericError",
+    "OracleDraws",
     "OracleRankerConfig",
     "RankEstimate",
     "RankRefineError",
@@ -95,6 +97,7 @@ __all__ = [
     "ValidationError",
     "beta",
     "bt_nll",
+    "draw_oracle",
     "fisher_variance",
     "fit",
     "fuse",
@@ -106,7 +109,6 @@ __all__ = [
     "load_references_csv",
     "mae",
     "make_synthetic_dataset",
-    "oracle_compare",
     "pra",
     "predict_with_variance_matrix",
     "projection_refine",

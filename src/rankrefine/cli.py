@@ -49,11 +49,13 @@ from .rankers import (
     DEFAULT_PROMPT_TEMPLATE,
     LlmRankerConfig,
     OracleRankerConfig,
+    draw_oracle,
     generate_comparisons,
     interactive_rank,
     llm_rank_batch,
     load_comparisons_csv,
     load_replay_transport,
+    log_tied_references,
     save_comparisons_csv,
 )
 from .seeding import derive_rng
@@ -242,10 +244,12 @@ def _rank_oracle(args: argparse.Namespace) -> None:
     queries = load_references_csv(args.queries)
     references = load_references_csv(args.references)
     oracle = OracleRankerConfig(accuracy=args.accuracy, seed=args.seed)
-    outcomes = []
-    for qid, y_query in queries.items():
-        rng = derive_rng("refs", args.seed, qid)
-        outcomes.extend(generate_comparisons(qid, y_query, references, args.k, oracle, rng))
+    draws = [
+        draw_oracle(qid, y, references, args.k, oracle.seed, derive_rng("refs", oracle.seed, qid))
+        for qid, y in queries.items()
+    ]
+    log_tied_references(draws, len(references), "rank --source oracle")
+    outcomes = [out for d in draws for out in generate_comparisons(d, args.k, oracle.accuracy)]
     save_comparisons_csv(outcomes, args.out)
     print(f"wrote {len(outcomes)} comparisons -> {args.out}")
 

@@ -23,4 +23,9 @@ class NumericError(RankRefineError):
 
 
 class TransportError(RankRefineError):
-    """A network call or remote endpoint failed."""
+    """A network call or remote endpoint failed, with the wait in seconds it
+    asked for (``retry_after``) and whether repeating the call can help."""
+
+    def __init__(self, message: str, retry_after: float | None = None, retryable: bool = True):
+        super().__init__(message)
+        self.retry_after, self.retryable = retry_after, retryable

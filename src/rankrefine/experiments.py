@@ -1,19 +1,19 @@
 """Reproducible experiment protocols built on the library primitives.
 
 Every protocol runs on one cell engine. A seed context holds one re-split:
-its train/test split, forest and regressor estimates. A cell is that
-context at one (accuracy, k): the comparisons, rank estimates and clamped
-flags of every test query, as per-query arrays. The sweep, baseline and
-noise protocols are short reducers over cells, each fusing a whole cell
-with one ``fuse`` call on arrays.
+its train/test split, forest, regressor estimates and each test query's
+oracle draws. A cell is that context at one (accuracy, k): the comparisons,
+rank estimates and clamped flags of every test query, as per-query arrays.
+The sweep, baseline and noise protocols are short reducers over cells, each
+fusing a whole cell with one ``fuse`` call on arrays.
 
 Each run routine derives every random choice from a master seed through
 named substreams keyed by seed index, query id, and purpose ("split",
-"forest", "oracle", "refs", "noise", "bound"). Cells of a sweep therefore
-never share generator state: a cell computed on its own reproduces its
-record in a full sweep byte for byte, and different protocols that reuse a
-cell (the noise study at b=0, the baseline deltas) reproduce its numbers
-exactly.
+"forest", "oracle", "refs", "noise", "bound"). A cell draws nothing: it
+judges a prefix of its context's draws, so a cell computed on its own
+reproduces its record in a full sweep byte for byte, and different
+protocols that reuse a cell (the noise study at b=0, the baseline deltas)
+reproduce its numbers exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import ValidationError
 from .forest import ForestConfig, TrainedForest
 from .fusion import check_clamp_c, fuse, regularize_rank_variance, required_rank_variance
 from .rank import solve_rank_estimate
-from .rankers import OracleRankerConfig, generate_comparisons
+from .rankers import OracleDraws, draw_oracle, generate_comparisons, log_tied_references
 from .seeding import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -196,6 +196,7 @@ class _SeedContext:
     model: TrainedForest
     reg: Estimate
     mae_reg: float
+    draws: tuple[OracleDraws, ...]
 
     @cached_property
     def train_values(self) -> np.ndarray:
@@ -209,7 +210,9 @@ def _build_seed_context(
     master_seed: int,
     train_size: int,
     forest_config: ForestConfig,
+    k: int,
 ) -> _SeedContext:
+    """Fit one re-split and draw each test query's oracle pairs for cells up to k."""
     split = SplitSpec(train_size=train_size, seed=derive_seed("split", master_seed, seed_index))
     train, test = resplit(dataset, split)
     config = replace(forest_config, seed=derive_seed("forest-seed", master_seed, seed_index))
@@ -217,6 +220,13 @@ def _build_seed_context(
     reg_values, reg_variances = forest_mod.predict_with_variance_matrix(
         model, test.features
     )
+    labels = train.labels_by_id()
+    oracle = derive_seed("oracle-seed", master_seed, seed_index)
+    draws = tuple(
+        draw_oracle(qid, y, labels, k, oracle, derive_rng("refs", master_seed, seed_index, qid))
+        for qid, y in zip(test.ids, test.y.tolist())
+    )
+    log_tied_references(draws, len(labels), f"seed {seed_index}")
     return _SeedContext(
         seed_index=seed_index,
         train=train,
@@ -224,6 +234,7 @@ def _build_seed_context(
         model=model,
         reg=Estimate(reg_values, reg_variances),
         mae_reg=mae(reg_values, test.y),
+        draws=draws,
     )
 
 
@@ -243,28 +254,13 @@ class _Cell:
     clamped: np.ndarray
 
 
-def _compute_cell(
-    ctx: _SeedContext,
-    accuracy: float,
-    k: int,
-    master_seed: int,
-) -> _Cell:
-    """Compare every test query with k references at one accuracy, then solve.
-
-    The reference permutation for a query depends only on (master seed, seed
-    index, query id), so cells at the same seed share reference samples: a
-    larger k extends a smaller k's sample and a higher accuracy flips a
-    subset of a lower accuracy's outcomes rather than redrawing everything.
-    """
-    oracle = OracleRankerConfig(
-        accuracy=accuracy, seed=derive_seed("oracle-seed", master_seed, ctx.seed_index)
-    )
+def _compute_cell(ctx: _SeedContext, accuracy: float, k: int) -> _Cell:
+    """Judge every test query's first k drawn pairs at one accuracy, then solve."""
     labels_by_id = ctx.train.labels_by_id()
-    comparisons = []
-    for qid, y_true in zip(ctx.test.ids, ctx.test.y):
-        rng = derive_rng("refs", master_seed, ctx.seed_index, qid)
-        outcomes = generate_comparisons(qid, float(y_true), labels_by_id, k, oracle, rng)
-        comparisons.append(ComparisonSet.from_outcomes(outcomes, labels_by_id))
+    comparisons = [
+        ComparisonSet.from_outcomes(generate_comparisons(draws, k, accuracy), labels_by_id)
+        for draws in ctx.draws
+    ]
     estimates = [solve_rank_estimate(comps) for comps in comparisons]
     return _Cell(
         ctx=ctx,
@@ -288,11 +284,11 @@ def _run_grid(
 ) -> list:
     """Reduce every cell of the grid: seeds outermost, then accuracies, then ks."""
     contexts = [
-        _build_seed_context(dataset, i, master_seed, grid.train_size, forest_config)
+        _build_seed_context(dataset, i, master_seed, grid.train_size, forest_config, max(grid.ks))
         for i in range(grid.seeds)
     ]
     return [
-        reduce(_compute_cell(ctx, accuracy, k, master_seed))
+        reduce(_compute_cell(ctx, accuracy, k))
         for ctx in contexts
         for accuracy in grid.accuracies
         for k in grid.ks

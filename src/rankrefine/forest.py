@@ -244,17 +244,20 @@ def _check_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
 
 
 def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
-    """Per-tree predictions, shape (n_trees, n_rows)."""
+    """Per-tree predictions, shape (n_trees, n_rows); a cyclic or broken tree raises."""
     X = _check_matrix(model, X)
     # Every tree's node arrays end to end, children as indices into them.
-    sizes = [tree.feature.size for tree in model.trees]
+    sizes = np.array([tree.feature.size for tree in model.trees])
     roots = np.cumsum(sizes) - sizes
-    shift = np.repeat(roots, sizes)
+    tree_of = np.repeat(np.arange(sizes.size), sizes)
     feature, threshold, left, value = (
         np.concatenate([getattr(tree, name) for tree in model.trees])
         for name in ("feature", "threshold", "left", "value")
     )
-    left = left + shift
+    bad = (feature >= 0) & ((left < 0) | (left + 1 >= sizes[tree_of]))
+    if bad.any():
+        raise ValidationError(f"tree {tree_of[bad.argmax()]}: a child index is out of range")
+    left = left + roots[tree_of]
     n_rows = X.shape[0]
     out = np.empty((roots.size, n_rows))
     per_block = max(1, _BLOCK_ELEMENTS // max(n_rows, 1))
@@ -263,7 +266,10 @@ def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
         block = roots[first : first + per_block]
         node = np.repeat(block, n_rows)
         walking = np.flatnonzero(feature[node] >= 0)
+        budget = sizes[first : first + per_block].max()  # more steps than nodes: a cycle
         while walking.size:
+            if (budget := budget - 1) < 0:
+                raise ValidationError(f"tree {first + walking[0] // n_rows}: the walk loops")
             at = node[walking]
             goes_left = X[walking % n_rows, feature[at]] < threshold[at]
             at = left[at] + ~goes_left

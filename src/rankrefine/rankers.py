@@ -8,7 +8,8 @@ are excluded, never guessed.
 Rankers work in ids and never see the solver: each returns outcomes keyed
 by (query id, reference id), or, for the LLM, answers keyed by pair
 position. Callers resolve one query's ids to the labels of a
-``ComparisonSet`` only where they solve.
+``ComparisonSet`` only where they solve. The oracle draws references and
+flips once (``draw_oracle``), then judges any (accuracy, k) from them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import io
 import logging
 import math
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
@@ -52,69 +54,66 @@ class OracleRankerConfig:
             )
 
 
-def oracle_compare(
-    query_id: str,
-    y_query: float,
-    ref_id: str,
-    ref_label: float,
-    config: OracleRankerConfig,
-    pair_index: int,
-) -> ComparisonOutcome:
-    """Judge one pair with the configured error rate.
+@dataclass(frozen=True, eq=False)
+class OracleDraws:
+    """One query's sampled references, true answers, flips and untied pool size."""
 
-    The flip draw is keyed by (seed, query id, pair index) only, so raising
-    the accuracy flips a subset of the outcomes seen at a lower accuracy
-    rather than resampling them all; sweeps across accuracies share their
-    randomness, which keeps paired comparisons low-variance.
-    """
-    if y_query == ref_label:
-        raise ValidationError(
-            f"query {query_id!r} ties reference {ref_id!r}; a tied pair has no "
-            "correct answer and must be excluded upstream"
-        )
-    truth = y_query > ref_label
-    u = unit_uniform("oracle", config.seed, query_id, pair_index)
-    query_above = truth if u < config.accuracy else not truth
-    return ComparisonOutcome(query_id=query_id, ref_id=ref_id, query_above=query_above)
+    query_id: str
+    ref_ids: tuple[str, ...]
+    truth: np.ndarray
+    flips: np.ndarray
+    n_eligible: int
 
 
-def generate_comparisons(
-    query_id: str,
-    y_query: float,
-    labels_by_id: Mapping[str, float],
-    k: int,
-    config: OracleRankerConfig,
+def draw_oracle(
+    query_id: str, y_query: float, labels_by_id: Mapping[str, float], k: int, seed: int,
     rng: np.random.Generator,
-) -> list[ComparisonOutcome]:
-    """Ask the oracle to judge the query against k sampled references.
+) -> OracleDraws:
+    """Sample up to k references for the query and draw each pair's flip.
 
     ``labels_by_id`` maps each reference id to its known label; ids must be
-    non-empty and labels finite. References tying the query's value are
-    ineligible (no correct answer exists for them). The k references are the
-    first k of a permutation of the eligible pool, in mapping order, drawn
-    from ``rng``, so with the same generator state a larger k extends the
-    smaller k's sample rather than replacing it. The i-th chosen reference is
-    judged with pair index i.
+    non-empty and labels finite. References tying the query's value have no
+    correct answer and are ineligible. The references are the first k of a
+    permutation of the eligible pool, in mapping order, drawn from ``rng``,
+    so a larger k extends a smaller k's sample. Pair i's flip is keyed by
+    (seed, query id, i) only.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if "" in labels_by_id or not all(map(math.isfinite, labels_by_id.values())):
         raise ValidationError("references need non-empty ids and finite labels")
     eligible = [(rid, label) for rid, label in labels_by_id.items() if label != y_query]
-    skipped = len(labels_by_id) - len(eligible)
-    if skipped:
-        logger.warning(
-            "query %s: excluded %d references tied with the query value", query_id, skipped
-        )
-    if k > len(eligible):
-        raise ValidationError(
-            f"query {query_id!r}: k={k} exceeds the {len(eligible)} eligible references"
-        )
-    order = rng.permutation(len(eligible))
-    return [
-        oracle_compare(query_id, y_query, *eligible[j], config, i)
-        for i, j in enumerate(order[:k])
-    ]
+    chosen = [eligible[j] for j in rng.permutation(len(eligible))[:k]]
+    return OracleDraws(
+        query_id=query_id,
+        ref_ids=tuple(rid for rid, _ in chosen),
+        truth=np.array([y_query > label for _, label in chosen], dtype=bool),
+        flips=np.array([unit_uniform("oracle", seed, query_id, i) for i in range(len(chosen))]),
+        n_eligible=len(eligible),
+    )
+
+
+def log_tied_references(draws: Sequence[OracleDraws], n_references: int, where: str) -> None:
+    """Warn once about every reference excluded for tying its query's value."""
+    if tied := [n_references - d.n_eligible for d in draws if d.n_eligible < n_references]:
+        message = "%s: excluded %d references tied with their query, in %d queries"
+        logger.warning(message, where, sum(tied), len(tied))
+
+
+def generate_comparisons(draws: OracleDraws, k: int, accuracy: float) -> list[ComparisonOutcome]:
+    """Judge the query's first k drawn pairs at one accuracy, drawing nothing new.
+
+    Pair i is answered correctly exactly when its flip lies below ``accuracy``, so a
+    higher accuracy flips a subset of a lower one's outcomes: sweeps stay paired.
+    """
+    OracleRankerConfig(accuracy)  # the accuracy check
+    query, pool = draws.query_id, draws.n_eligible
+    if k > pool:
+        raise ValidationError(f"query {query!r}: k={k} exceeds the {pool} eligible references")
+    if not 1 <= k <= len(draws.ref_ids):
+        raise ValidationError(f"k={k} lies outside the {len(draws.ref_ids)} drawn pairs")
+    above = (draws.truth[:k] == (draws.flips[:k] < accuracy)).tolist()
+    return [ComparisonOutcome(query, rid, a) for rid, a in zip(draws.ref_ids, above)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +262,7 @@ last column, with no other commentary.
 # Transport callables take (endpoint_url, headers, payload) and return the
 # model's text reply; swapping the transport is how tests avoid the network.
 Transport = Callable[[str, Mapping[str, str], Mapping[str, object]], str]
+RETRY_BASE_S, RETRY_CAP_S = 1.0, 30.0  # llm_rank_batch's backoff, in seconds
 
 
 @dataclass(frozen=True)
@@ -311,10 +311,13 @@ def make_http_transport(timeout: float = 60.0) -> Transport:
             )
         except requests.RequestException as exc:
             raise TransportError(f"request to {url} failed: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise TransportError(f"authentication failed: HTTP {response.status_code}")
-        if response.status_code != 200:
-            raise TransportError(f"endpoint returned HTTP {response.status_code}")
+        status = response.status_code
+        if status in (401, 403):
+            raise TransportError(f"authentication failed: HTTP {status}", retryable=False)
+        if status != 200:
+            asked = response.headers.get("Retry-After", "").strip() if status in (429, 503) else ""
+            retry_after = float(asked) if asked.isdecimal() else None
+            raise TransportError(f"endpoint returned HTTP {status}", retry_after)
         try:
             data = response.json()
             return data["choices"][0]["message"]["content"]
@@ -409,14 +412,17 @@ def llm_rank_batch(
     pairs: Sequence[tuple[str, str]],
     config: LlmRankerConfig,
     transport: Transport | None = None,
+    sleep: Callable[[float], None] = time.sleep,
 ) -> dict[int, bool]:
     """Rank text pairs with an LLM, in batches, with per-pair retries.
 
     Returns pair index -> is_a_greater in index order, so callers match each
     answer to their own ids by position, whether or not texts repeat. Pairs
     whose answers cannot be parsed are resubmitted up to
-    ``config.max_retries`` more times and then left out with a warning;
-    transport failures on the final attempt propagate.
+    ``config.max_retries`` more times and then left out with a warning. A
+    failed transport call ``sleep``s ``min(RETRY_CAP_S, retry_after or
+    RETRY_BASE_S * 2**attempt)`` seconds before the next call; failures on
+    the final attempt, or not retryable, propagate.
     """
     if transport is None:
         transport = make_http_transport(config.timeout)
@@ -446,9 +452,10 @@ def llm_rank_batch(
             }
             try:
                 content = transport(config.endpoint_url, headers, payload)
-            except TransportError:
-                if attempt == config.max_retries:
+            except TransportError as exc:
+                if attempt == config.max_retries or not exc.retryable:
                     raise
+                sleep(min(RETRY_CAP_S, exc.retry_after or RETRY_BASE_S * 2**attempt))
                 still_pending.extend(batch)
                 continue
             parsed = parse_ranking_response(content)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rankrefine.cli  # noqa: F401  (imported before tracing, as the benchmark does)
-from golden import INPUTS, run
+from golden import COMMANDS, INPUTS, run
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
@@ -42,3 +42,14 @@ def test_refine_counts_every_comparison_row(tmp_path):
     with open(INPUTS / "comparisons.csv", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row][1:]
     assert _traced("refine", tmp_path).counts["rankers.rows_read"] == len(rows)
+
+
+def test_sweep_hashes_do_not_grow_with_accuracies(tmp_path, monkeypatch):
+    # Oracle references and flips are drawn once per seed, not once per cell,
+    # so the golden sweep hashes as much at one accuracy as at three.
+    argv = list(COMMANDS["sweep"])
+    argv[argv.index("--accuracies") + 1] = "0.6"
+    monkeypatch.setitem(COMMANDS, "sweep-one-accuracy", tuple(argv))
+    three = _traced("sweep", tmp_path).counts["seeding.hashes"]
+    one = _traced("sweep-one-accuracy", tmp_path).counts["seeding.hashes"]
+    assert three == one > 0

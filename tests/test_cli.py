@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import golden
 import rankrefine
 from rankrefine import cli, forest
 from rankrefine.cli import _parse_float_list, _parse_int_list, main
@@ -246,6 +247,20 @@ class TestRankOracle:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_tied_references_warn_once_per_run(self, tmp_path, capsys, caplog):
+        _, references = self._inputs(tmp_path)  # labels -3.0 .. 3.0
+        queries = _write(tmp_path / "tied.csv", "id,y\nq1,1.0\nq2,2.0\nq3,0.5\n")
+        with caplog.at_level("WARNING", logger="rankrefine"):
+            code = main([
+                "rank", "--source", "oracle", "--queries", queries,
+                "--references", references, "--k", "6", "--out", str(tmp_path / "c.csv"),
+            ])
+        assert code == 0
+        capsys.readouterr()
+        assert [r.getMessage() for r in caplog.records] == [
+            "rank --source oracle: excluded 2 references tied with their query, in 2 queries"
+        ]
+
     def test_accuracy_out_of_range_is_usage_error(self, tmp_path, capsys):
         queries, references = self._inputs(tmp_path)
         code = main([
@@ -473,6 +488,16 @@ SMALL_DATA = [
 
 
 class TestExperimentCommands:
+    def test_tied_references_warn_once_per_seed(self, tmp_path, caplog):
+        # The tie-heavy golden sweep: 2 seeds x 4 cells x 30 queries, most of
+        # whose reference pools hold labels tied with the query's.
+        with caplog.at_level("WARNING", logger="rankrefine"):
+            golden.run("sweep-ties", tmp_path)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert [m.split(":")[0] for m in messages] == ["seed 0", "seed 1"]
+        assert all("references tied with their query" in m for m in messages)
+
     def test_sweep_rerun_is_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = [

@@ -370,6 +370,30 @@ class TestPredictWalk:
         assert set(np.unique(expected[1])) == {10.0, 20.0, 30.0}
         assert predict_matrix(model, X[:1])[1, 0] == 10.0
 
+    def test_cyclic_tree_raises_instead_of_walking_forever(self):
+        # Node 1 splits back to nodes 0 and 1, so every row loops.
+        cyclic = RegressionTree(
+            feature=np.array([0, 0, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.5, 0.0]),
+            left=np.array([1, 0, -1], dtype=np.int32),
+            value=np.zeros(3),
+        )
+        model = TrainedForest(trees=(_leaf_tree(1.0), _leaf_tree(2.0), cyclic), n_features=1)
+        with pytest.raises(ValidationError, match="tree 2: the walk loops"):
+            predict_matrix(model, np.array([[0.0], [1.0]]))
+
+    @pytest.mark.parametrize("left", [-1, 2], ids=["negative", "past the end"])
+    def test_out_of_range_child_raises(self, left):
+        broken = RegressionTree(
+            feature=np.array([0, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.0, 0.0]),
+            left=np.array([left, -1, -1], dtype=np.int32),
+            value=np.zeros(3),
+        )
+        model = TrainedForest(trees=(_leaf_tree(1.0), broken), n_features=1)
+        with pytest.raises(ValidationError, match="tree 1: a child index is out of range"):
+            predict_matrix(model, np.zeros((2, 1)))
+
     def test_zero_rows_keep_the_tree_axis(self):
         model = TrainedForest(trees=(_leaf_tree(0.0), _leaf_tree(2.0), _leaf_tree(4.0)), n_features=3)
         assert predict_matrix(model, np.zeros((0, 3))).shape == (3, 0)

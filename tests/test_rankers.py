@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 import requests
 
@@ -13,22 +14,54 @@ from rankrefine.rankers import (
     LlmRankerConfig,
     OracleRankerConfig,
     ReplayTransport,
+    draw_oracle,
     generate_comparisons,
     interactive_rank,
     llm_rank_batch,
     load_comparisons_csv,
     load_replay_transport,
+    log_tied_references,
     make_http_transport,
-    oracle_compare,
     parse_ranking_response,
     render_prompt,
     save_comparisons_csv,
 )
-from rankrefine.seeding import derive_rng
+from rankrefine.seeding import derive_rng, unit_uniform
 
 
 def _refs(labels):
     return {f"ref{i}": float(v) for i, v in enumerate(labels)}
+
+
+def oracle_compare(query_id, y_query, ref_id, ref_label, config, pair_index):
+    # The per-pair judge that the draw-then-judge oracle replaced, kept as
+    # the scalar reference it must match outcome for outcome.
+    if y_query == ref_label:
+        raise ValidationError(f"query {query_id!r} ties reference {ref_id!r}")
+    truth = y_query > ref_label
+    u = unit_uniform("oracle", config.seed, query_id, pair_index)
+    query_above = truth if u < config.accuracy else not truth
+    return ComparisonOutcome(query_id=query_id, ref_id=ref_id, query_above=query_above)
+
+
+def _reference_comparisons(query_id, y_query, labels_by_id, k, config, rng):
+    # The per-cell generator that drew and judged in one pass: ties leave
+    # the pool, the first k of a permutation are judged with pair index i.
+    eligible = [(rid, label) for rid, label in labels_by_id.items() if label != y_query]
+    if k > len(eligible):
+        raise ValidationError(
+            f"query {query_id!r}: k={k} exceeds the {len(eligible)} eligible references"
+        )
+    order = rng.permutation(len(eligible))
+    return [
+        oracle_compare(query_id, y_query, *eligible[j], config, i)
+        for i, j in enumerate(order[:k])
+    ]
+
+
+def _judge(query_id, y_query, labels, k, accuracy, seed=0, rng_key=0):
+    draws = draw_oracle(query_id, y_query, labels, k, seed, derive_rng("refs", rng_key))
+    return generate_comparisons(draws, k, accuracy)
 
 
 class TestOracle:
@@ -40,26 +73,23 @@ class TestOracle:
                 OracleRankerConfig(accuracy=bad)
 
     def test_perfect_oracle_always_truthful(self):
-        config = OracleRankerConfig(accuracy=1.0, seed=0)
-        for i in range(200):
-            out = oracle_compare("q", 2.0, "r", 1.0, config, i)
-            assert out.query_above
-            out = oracle_compare("q", 0.0, "r", 1.0, config, i)
-            assert not out.query_above
+        refs = _refs([1.0] * 200)
+        assert all(out.query_above for out in _judge("q", 2.0, refs, 200, 1.0))
+        assert not any(out.query_above for out in _judge("q", 0.0, refs, 200, 1.0))
 
     def test_tie_rejected(self):
-        config = OracleRankerConfig(accuracy=0.9)
+        # A tied pair has no correct answer: it never reaches the judge.
         with pytest.raises(ValidationError):
-            oracle_compare("q", 1.0, "r", 1.0, config, 0)
+            _judge("q", 1.0, {"r": 1.0}, 1, 0.9)
 
     def test_realized_accuracy_matches_configured(self):
         # Binomial: at n=5000 the realized rate sits within ~3 sigma.
+        refs = _refs([0.0] * 100)
         for acc in (0.62, 0.8):
-            config = OracleRankerConfig(accuracy=acc, seed=3)
             hits = sum(
-                oracle_compare(f"q{j}", 1.0, "r", 0.0, config, i).query_above
+                out.query_above
                 for j in range(50)
-                for i in range(100)
+                for out in _judge(f"q{j}", 1.0, refs, 100, acc, seed=3)
             )
             sigma = (acc * (1 - acc) / 5000) ** 0.5
             assert abs(hits / 5000 - acc) < 3.5 * sigma
@@ -67,49 +97,83 @@ class TestOracle:
     def test_shared_draws_across_accuracies(self):
         # The flip draw depends only on (seed, query, pair), so raising the
         # accuracy never turns a correct answer into a wrong one.
-        lo = OracleRankerConfig(accuracy=0.6, seed=9)
-        hi = OracleRankerConfig(accuracy=0.9, seed=9)
-        for i in range(500):
-            correct_lo = oracle_compare("q", 1.0, "r", 0.0, lo, i).query_above
-            correct_hi = oracle_compare("q", 1.0, "r", 0.0, hi, i).query_above
-            assert correct_hi or not correct_lo
+        draws = draw_oracle("q", 1.0, _refs([0.0] * 500), 500, 9, derive_rng("refs", 0))
+        lo = generate_comparisons(draws, 500, 0.6)
+        hi = generate_comparisons(draws, 500, 0.9)
+        for correct_lo, correct_hi in zip(lo, hi):
+            assert correct_hi.query_above or not correct_lo.query_above
+
+    def test_judge_matches_per_pair_reference(self):
+        # Labels on a small integer grid tie each other and the query; every
+        # k up to the drawn width, at accuracies across [0.5, 1].
+        fuzz = np.random.default_rng(12)
+        for case in range(40):
+            labels = _refs(fuzz.integers(-4, 5, size=int(fuzz.integers(1, 25))))
+            y_query = float(fuzz.integers(-4, 5))
+            n_eligible = sum(label != y_query for label in labels.values())
+            if n_eligible == 0:
+                continue
+            k_max = int(fuzz.integers(1, n_eligible + 1))
+            qid = f"q{case}"
+            draws = draw_oracle(qid, y_query, labels, k_max, case, derive_rng("refs", case))
+            assert draws.n_eligible == n_eligible
+            for accuracy in (0.5, 1.0, *fuzz.uniform(0.5, 1.0, size=3)):
+                config = OracleRankerConfig(accuracy=float(accuracy), seed=case)
+                for k in range(1, k_max + 1):
+                    expected = _reference_comparisons(
+                        qid, y_query, labels, k, config, derive_rng("refs", case)
+                    )
+                    got = generate_comparisons(draws, k, float(accuracy))
+                    assert got == expected
+                    assert all(type(out.query_above) is bool for out in got)
+
+    def test_judge_checks_accuracy_and_k(self):
+        draws = draw_oracle("q", 7.5, _refs(range(30)), 5, 0, derive_rng("refs", 0))
+        with pytest.raises(ValidationError, match="oracle accuracy must lie in"):
+            generate_comparisons(draws, 5, 1.01)
+        with pytest.raises(ValidationError, match="outside the 5 drawn pairs"):
+            generate_comparisons(draws, 6, 0.8)
+        with pytest.raises(ValidationError, match="outside the 5 drawn pairs"):
+            generate_comparisons(draws, 0, 0.8)
 
 
 class TestGenerateComparisons:
     def test_draws_k_distinct_references(self):
-        refs = _refs(range(30))
-        oracle = OracleRankerConfig(accuracy=1.0)
-        outcomes = generate_comparisons("q", 7.5, refs, 10, oracle, derive_rng("refs", 0))
+        outcomes = _judge("q", 7.5, _refs(range(30)), 10, 1.0)
         assert len(outcomes) == 10
         assert len({o.ref_id for o in outcomes}) == 10
 
     def test_smaller_k_is_a_prefix_of_larger(self):
         refs = _refs(range(30))
-        oracle = OracleRankerConfig(accuracy=1.0)
-        small = generate_comparisons("q", 7.5, refs, 5, oracle, derive_rng("refs", 1))
-        large = generate_comparisons("q", 7.5, refs, 15, oracle, derive_rng("refs", 1))
-        small_ids = [o.ref_id for o in small]
-        large_ids = [o.ref_id for o in large]
-        assert large_ids[:5] == small_ids
+        small = [o.ref_id for o in _judge("q", 7.5, refs, 5, 1.0, rng_key=1)]
+        large = draw_oracle("q", 7.5, refs, 15, 0, derive_rng("refs", 1))
+        assert list(large.ref_ids[:5]) == small
+        assert [o.ref_id for o in generate_comparisons(large, 5, 1.0)] == small
 
     def test_ties_excluded_from_pool(self, caplog):
         refs = _refs([1.0, 2.0, 2.0, 3.0])
-        oracle = OracleRankerConfig(accuracy=1.0)
         with caplog.at_level("WARNING", logger="rankrefine.rankers"):
-            outcomes = generate_comparisons("q", 2.0, refs, 2, oracle, derive_rng("refs", 2))
+            draws = draw_oracle("q", 2.0, refs, 2, 0, derive_rng("refs", 2))
+        assert not caplog.records  # the draw counts ties; callers log them once
+        outcomes = generate_comparisons(draws, 2, 1.0)
+        assert draws.n_eligible == 2
         assert len(outcomes) == 2
         assert all(o.ref_id in ("ref0", "ref3") for o in outcomes)
-        assert any("tied" in r.getMessage() for r in caplog.records)
+        untied = draw_oracle("q", 9.0, refs, 2, 0, derive_rng("refs", 2))
+        with caplog.at_level("WARNING", logger="rankrefine.rankers"):
+            log_tied_references([draws, untied, draws], len(refs), "here")
+            log_tied_references([untied], len(refs), "nowhere")
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["here: excluded 4 references tied with their query, in 2 queries"]
 
     def test_k_beyond_pool_rejected(self):
         refs = _refs([1.0, 2.0])
-        oracle = OracleRankerConfig(accuracy=1.0)
+        with pytest.raises(ValidationError, match="k=3 exceeds the 2 eligible"):
+            _judge("q", 5.0, refs, 3, 1.0, rng_key=3)
         with pytest.raises(ValidationError):
-            generate_comparisons("q", 5.0, refs, 3, oracle, derive_rng("refs", 3))
-        with pytest.raises(ValidationError):
-            generate_comparisons("q", 5.0, refs, 0, oracle, derive_rng("refs", 3))
+            _judge("q", 5.0, refs, 0, 1.0, rng_key=3)
         with pytest.raises(ValidationError, match="exceeds the 0 eligible"):
-            generate_comparisons("q", 5.0, {}, 1, oracle, derive_rng("refs", 3))
+            _judge("q", 5.0, {}, 1, 1.0, rng_key=3)
 
     @pytest.mark.parametrize(
         "labels",
@@ -122,9 +186,8 @@ class TestGenerateComparisons:
         ids=["empty id", "nan", "inf", "-inf"],
     )
     def test_malformed_references_rejected(self, labels):
-        oracle = OracleRankerConfig(accuracy=1.0)
         with pytest.raises(ValidationError, match="non-empty ids and finite labels"):
-            generate_comparisons("q", 5.0, labels, 1, oracle, derive_rng("refs", 4))
+            draw_oracle("q", 5.0, labels, 1, 0, derive_rng("refs", 4))
 
 
 class TestComparisonsCsv:
@@ -314,17 +377,22 @@ class TestLlmRankBatch:
 
     def test_transport_error_retried_then_raised_on_final_attempt(self):
         calls = {"n": 0}
+        slept = []
 
         def flaky(url, headers, payload):
             calls["n"] += 1
             raise TransportError("boom")
 
         with pytest.raises(TransportError):
-            llm_rank_batch([("a", "b")], _config(max_retries=2), transport=flaky)
+            llm_rank_batch(
+                [("a", "b")], _config(max_retries=2), transport=flaky, sleep=slept.append
+            )
         assert calls["n"] == 3  # initial attempt plus two retries
+        assert slept == [1.0, 2.0]  # backs off before each retry, not after the last
 
     def test_transport_error_recovery_before_final_attempt(self):
         state = {"n": 0}
+        slept = []
 
         def flaky(url, headers, payload):
             state["n"] += 1
@@ -332,9 +400,50 @@ class TestLlmRankBatch:
                 raise TransportError("first call drops")
             return _response([("a", "b", True)])
 
-        answers = llm_rank_batch([("a", "b")], _config(), transport=flaky)
+        answers = llm_rank_batch([("a", "b")], _config(), transport=flaky, sleep=slept.append)
         assert answers == {0: True}
         assert state["n"] == 2
+        assert slept == [1.0]
+
+    @pytest.mark.parametrize(
+        "retry_after, expected",
+        [(None, [1.0, 2.0, 4.0, 8.0, 16.0, 30.0]), (7.0, [7.0] * 6), (900.0, [30.0] * 6)],
+        ids=["exponential", "asked", "capped"],
+    )
+    def test_backoff_honours_retry_after_within_the_cap(self, retry_after, expected):
+        state = {"n": 0}
+        slept = []
+
+        def limited(url, headers, payload):
+            state["n"] += 1
+            if state["n"] <= 6:
+                raise TransportError("HTTP 429", retry_after=retry_after)
+            return _response([("a", "b", True)])
+
+        config = _config(max_retries=6)
+        answers = llm_rank_batch([("a", "b")], config, transport=limited, sleep=slept.append)
+        assert answers == {0: True}
+        assert slept == expected
+
+    def test_parse_failures_retry_without_waiting(self):
+        slept = []
+        transport = ReplayTransport([_response([]), _response([("a", "b", True)])])
+        answers = llm_rank_batch([("a", "b")], _config(), transport=transport, sleep=slept.append)
+        assert answers == {0: True}
+        assert slept == []
+
+    def test_not_retryable_error_raises_at_once(self):
+        calls = {"n": 0}
+        slept = []
+
+        def refused(url, headers, payload):
+            calls["n"] += 1
+            raise TransportError("authentication failed: HTTP 401", retryable=False)
+
+        with pytest.raises(TransportError, match="authentication"):
+            llm_rank_batch([("a", "b")], _config(), transport=refused, sleep=slept.append)
+        assert calls["n"] == 1
+        assert slept == []
 
     def test_api_key_read_from_named_env_var(self, monkeypatch):
         seen = {}
@@ -372,10 +481,11 @@ class TestLlmRankBatch:
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, body=None, text="broken"):
+    def __init__(self, status_code=200, body=None, text="broken", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -396,6 +506,45 @@ class TestHttpTransport:
         monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(401))
         with pytest.raises(TransportError, match="authentication"):
             make_http_transport()("https://x.invalid", {}, {})
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_auth_failure_is_not_retried(self, monkeypatch, status):
+        calls = []
+
+        def refuse(*a, **k):
+            calls.append(status)
+            return _FakeResponse(status, headers={"Retry-After": "5"})
+
+        monkeypatch.setattr(requests, "post", refuse)
+        slept = []
+        with pytest.raises(TransportError, match="authentication") as info:
+            llm_rank_batch(
+                [("a", "b")], _config(), transport=make_http_transport(), sleep=slept.append
+            )
+        assert (info.value.retryable, info.value.retry_after) == (False, None)
+        assert calls == [status]
+        assert slept == []
+
+    @pytest.mark.parametrize(
+        "status, header, expected",
+        [
+            (429, "12", 12.0),
+            (503, " 3 ", 3.0),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", None),
+            (429, None, None),
+            (500, "12", None),
+        ],
+        ids=["429 seconds", "503 seconds", "http date", "no header", "500"],
+    )
+    def test_retry_after_read_from_429_and_503(self, monkeypatch, status, header, expected):
+        headers = {} if header is None else {"Retry-After": header}
+        monkeypatch.setattr(
+            requests, "post", lambda *a, **k: _FakeResponse(status, headers=headers)
+        )
+        with pytest.raises(TransportError, match=str(status)) as info:
+            make_http_transport()("https://x.invalid", {}, {})
+        assert info.value.retry_after == expected
+        assert info.value.retryable
 
     def test_server_error(self, monkeypatch):
         monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(503))
