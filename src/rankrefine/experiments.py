@@ -13,14 +13,15 @@ named substreams keyed by seed index, query id, and purpose ("split",
 judges a prefix of its context's draws, so a cell computed on its own
 reproduces its record in a full sweep byte for byte, and different
 protocols that reuse a cell (the noise study at b=0, the baseline deltas)
-reproduce its numbers exactly.
+reproduce its numbers exactly. A query judging the same pairs correct as its
+context's last solve at that k reuses that solve, bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -43,7 +44,9 @@ from .errors import ValidationError
 from .forest import ForestConfig, TrainedForest
 from .fusion import check_clamp_c, fuse, regularize_rank_variance, required_rank_variance
 from .rank import solve_rank_estimate
-from .rankers import OracleDraws, draw_oracle, generate_comparisons, log_tied_references
+from .rankers import (
+    OracleDraws, OracleRankerConfig, draw_oracle, generate_comparisons, log_tied_references
+)
 from .seeding import derive_rng, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -188,7 +191,7 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class _SeedContext:
-    """Everything about one re-split that does not depend on accuracy or k."""
+    """Everything about one re-split that does not depend on accuracy or k, and its solves."""
 
     seed_index: int
     train: Dataset
@@ -197,6 +200,8 @@ class _SeedContext:
     reg: Estimate
     mae_reg: float
     draws: tuple[OracleDraws, ...]
+    # (query index, k) -> (pairs judged correct, ComparisonSet, RankEstimate) of the last solve
+    solved: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def train_values(self) -> np.ndarray:
@@ -255,13 +260,24 @@ class _Cell:
 
 
 def _compute_cell(ctx: _SeedContext, accuracy: float, k: int) -> _Cell:
-    """Judge every test query's first k drawn pairs at one accuracy, then solve."""
+    """Judge every test query's first k drawn pairs at one accuracy, then solve.
+
+    The pairs judged correct (``flips[:k] < accuracy``) nest as the accuracy
+    grows, so their count names the set: a query whose count matches the last
+    solve at this k reuses that solve's comparisons and estimate.
+    """
+    OracleRankerConfig(accuracy)  # a reused solve judges nothing, so check here
     labels_by_id = ctx.train.labels_by_id()
-    comparisons = [
-        ComparisonSet.from_outcomes(generate_comparisons(draws, k, accuracy), labels_by_id)
-        for draws in ctx.draws
-    ]
-    estimates = [solve_rank_estimate(comps) for comps in comparisons]
+    comparisons, estimates = [], []
+    for i, draws in enumerate(ctx.draws):
+        n_correct = int(np.count_nonzero(draws.flips[:k] < accuracy))
+        last = ctx.solved.get((i, k))
+        if last is None or last[0] != n_correct:
+            outcomes = generate_comparisons(draws, k, accuracy)
+            comps = ComparisonSet.from_outcomes(outcomes, labels_by_id)
+            last = ctx.solved[i, k] = (n_correct, comps, solve_rank_estimate(comps))
+        comparisons.append(last[1])
+        estimates.append(last[2])
     return _Cell(
         ctx=ctx,
         accuracy=accuracy,

@@ -257,6 +257,9 @@ def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
     bad = (feature >= 0) & ((left < 0) | (left + 1 >= sizes[tree_of]))
     if bad.any():
         raise ValidationError(f"tree {tree_of[bad.argmax()]}: a child index is out of range")
+    bad = feature >= X.shape[1]
+    if bad.any():
+        raise ValidationError(f"tree {tree_of[bad.argmax()]}: a split feature is out of range")
     left = left + roots[tree_of]
     n_rows = X.shape[0]
     out = np.empty((roots.size, n_rows))

@@ -53,3 +53,28 @@ def test_sweep_hashes_do_not_grow_with_accuracies(tmp_path, monkeypatch):
     three = _traced("sweep", tmp_path).counts["seeding.hashes"]
     one = _traced("sweep-one-accuracy", tmp_path).counts["seeding.hashes"]
     assert three == one > 0
+
+
+def _sweep_at(accuracies, tmp_path, monkeypatch):
+    argv = list(COMMANDS["sweep"])
+    argv[argv.index("--accuracies") + 1] = accuracies
+    monkeypatch.setitem(COMMANDS, f"sweep-at-{accuracies}", tuple(argv))
+    return _traced(f"sweep-at-{accuracies}", tmp_path).counts
+
+
+def test_sweep_repeated_accuracy_reuses_every_solve(tmp_path, monkeypatch):
+    # A cell that judges the same pairs as the last cell at its k solves nothing.
+    once = _sweep_at("0.6", tmp_path, monkeypatch)["rank.solves"]
+    assert _sweep_at("0.6,0.6", tmp_path, monkeypatch)["rank.solves"] == once > 0
+
+
+def test_sweep_solves_fewer_than_queries_times_cells(tmp_path):
+    argv = COMMANDS["sweep"]
+
+    def value(flag):
+        return argv[argv.index(flag) + 1]
+
+    assert value("--seeds") == "1"
+    cells = len(value("--accuracies").split(",")) * len(value("--ks").split(","))
+    queries = int(value("--synthetic-n")) - int(value("--train-size"))
+    assert 0 < _traced("sweep", tmp_path).counts["rank.solves"] < queries * cells

@@ -1,14 +1,21 @@
 """Experiment harness: synthetic data, sweeps, baselines, noise, CSV output."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rankrefine import experiments
+from rankrefine.core import load_dataset_csv
 from rankrefine.errors import ValidationError
 from rankrefine.experiments import (
     NOISE_VARIANCE_FLOOR,
     BaselineDeltaRecord,
     SweepGrid,
     SweepRecord,
+    _build_seed_context,
+    _compute_cell,
     make_synthetic_dataset,
     run_baseline_delta,
     run_noise_sweep,
@@ -30,6 +37,11 @@ FAST_GRID = SweepGrid(accuracies=(0.6, 0.9), ks=(3, 5), seeds=2, train_size=50)
 
 def _fast_dataset():
     return make_synthetic_dataset(n=75, d=4, noise_sd=1.0, seed=3)
+
+
+def _fresh(ctx):
+    """The same seed context with nothing solved yet."""
+    return replace(ctx, solved={})
 
 
 class TestSyntheticData:
@@ -125,6 +137,52 @@ class TestOracleSweep:
             _fast_dataset(), grid, forest_config=FAST_FOREST, master_seed=2
         )
         assert a == b
+
+
+class TestCellReuse:
+    """A cell that reuses an earlier cell's solve is indistinguishable from a fresh one."""
+
+    def test_shuffled_repeated_cells_equal_fresh_cells(self, monkeypatch):
+        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_FOREST, 10)
+        order = [
+            (0.8, 5), (0.6, 10), (0.8, 5), (1.0, 10), (0.55, 5), (0.6, 10),
+            (0.9, 10), (0.9, 5), (0.75, 10), (1.0, 5), (0.55, 10), (0.8, 5),
+        ]
+        solves = []
+        solve = experiments.solve_rank_estimate
+        monkeypatch.setattr(
+            experiments, "solve_rank_estimate", lambda comps: solves.append(1) or solve(comps)
+        )
+        reused = [_compute_cell(ctx, accuracy, k) for accuracy, k in order]
+        assert 0 < len(solves) < len(order) * len(ctx.draws)
+        for cell, (accuracy, k) in zip(reused, order):
+            fresh = _compute_cell(_fresh(ctx), accuracy, k)
+            assert cell.rank.value.tobytes() == fresh.rank.value.tobytes()
+            assert cell.rank.variance.tobytes() == fresh.rank.variance.tobytes()
+            assert cell.clamped.tobytes() == fresh.clamped.tobytes()
+            for got, want in zip(cell.comparisons, fresh.comparisons, strict=True):
+                assert got.below_labels.tobytes() == want.below_labels.tobytes()
+                assert got.above_labels.tobytes() == want.above_labels.tobytes()
+
+    def test_k_past_a_tied_pool_raises_at_the_first_cell_reaching_it(self):
+        ties = load_dataset_csv(Path(__file__).parent / "data" / "cli_inputs" / "ties.csv")
+        ctx = _build_seed_context(ties, 0, 0, 30, FAST_FOREST, 22)
+        short = next(i for i, d in enumerate(ctx.draws) if d.n_eligible < 22)
+        assert short > 0  # earlier queries of that cell solve before it raises
+        draws = ctx.draws[short]
+        message = f"query {draws.query_id!r}: k=22 exceeds the {draws.n_eligible} eligible"
+        for accuracy, k in [(0.7, 3), (1.0, 21), (0.7, 21), (0.7, 3)]:
+            _compute_cell(ctx, accuracy, k)
+        for context in (ctx, _fresh(ctx)):
+            with pytest.raises(ValidationError, match=message):
+                _compute_cell(context, 0.9, 22)
+
+    def test_bad_accuracy_raises_even_when_every_count_matches(self):
+        # Every flip lies below both 1.0 and 1.5, so no query would solve afresh.
+        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_FOREST, 5)
+        _compute_cell(ctx, 1.0, 5)
+        with pytest.raises(ValidationError, match="accuracy must lie in"):
+            _compute_cell(ctx, 1.5, 5)
 
 
 class TestBaselineDelta:

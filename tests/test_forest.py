@@ -394,6 +394,17 @@ class TestPredictWalk:
         with pytest.raises(ValidationError, match="tree 1: a child index is out of range"):
             predict_matrix(model, np.zeros((2, 1)))
 
+    def test_out_of_range_split_feature_raises(self):
+        split_on_3 = RegressionTree(
+            feature=np.array([3, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.0, 0.0]),
+            left=np.array([1, -1, -1], dtype=np.int32),
+            value=np.array([0.0, 1.0, 2.0]),
+        )
+        model = TrainedForest(trees=(_leaf_tree(1.0), split_on_3), n_features=1)
+        with pytest.raises(ValidationError, match="tree 1: a split feature is out of range"):
+            predict_matrix(model, np.zeros((2, 1)))
+
     def test_zero_rows_keep_the_tree_axis(self):
         model = TrainedForest(trees=(_leaf_tree(0.0), _leaf_tree(2.0), _leaf_tree(4.0)), n_features=3)
         assert predict_matrix(model, np.zeros((0, 3))).shape == (3, 0)
