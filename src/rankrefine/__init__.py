@@ -52,7 +52,6 @@ from .rank import (
 from .rankers import (
     LlmRankerConfig,
     OracleDraws,
-    OracleRankerConfig,
     ReplayTransport,
     draw_oracle,
     generate_comparisons,
@@ -85,7 +84,6 @@ __all__ = [
     "LlmRankerConfig",
     "NumericError",
     "OracleDraws",
-    "OracleRankerConfig",
     "RankEstimate",
     "RankRefineError",
     "ReplayTransport",

@@ -48,19 +48,16 @@ class FeasibleInterval:
         return self.lower > self.upper
 
 
-def projection_refine(y_pred: float, comparisons: ComparisonSet) -> float:
-    """Clamp the prediction into the comparisons' feasible interval.
+def projection_refine(y_pred: float, interval: FeasibleInterval) -> float:
+    """Clamp the prediction into a comparison set's feasible interval.
 
-    Predictions already inside the interval pass through unchanged; an
-    empty comparison set constrains nothing. When the interval is
+    Predictions already inside the interval pass through unchanged; an empty
+    comparison set's (-inf, inf) constrains nothing. When the interval is
     inconsistent there is nothing to project onto, so the midpoint of the
     crossed bounds is returned as the least-commitment fallback.
     """
     if not math.isfinite(y_pred):
         raise ValidationError(f"prediction must be finite, got {y_pred!r}")
-    if comparisons.is_empty:
-        return y_pred
-    interval = FeasibleInterval.from_comparisons(comparisons)
     if interval.is_empty:
         return 0.5 * (interval.lower + interval.upper)
     return min(max(y_pred, interval.lower), interval.upper)

@@ -48,7 +48,7 @@ from .rank import solve_rank_estimate
 from .rankers import (
     DEFAULT_PROMPT_TEMPLATE,
     LlmRankerConfig,
-    OracleRankerConfig,
+    check_accuracy,
     draw_oracle,
     generate_comparisons,
     interactive_rank,
@@ -243,13 +243,13 @@ def cmd_rank(args: argparse.Namespace) -> None:
 def _rank_oracle(args: argparse.Namespace) -> None:
     queries = load_references_csv(args.queries)
     references = load_references_csv(args.references)
-    oracle = OracleRankerConfig(accuracy=args.accuracy, seed=args.seed)
+    check_accuracy(args.accuracy)
     draws = [
-        draw_oracle(qid, y, references, args.k, oracle.seed, derive_rng("refs", oracle.seed, qid))
+        draw_oracle(qid, y, references, args.k, args.seed, derive_rng("refs", args.seed, qid))
         for qid, y in queries.items()
     ]
     log_tied_references(draws, len(references), "rank --source oracle")
-    outcomes = [out for d in draws for out in generate_comparisons(d, args.k, oracle.accuracy)]
+    outcomes = [out for d in draws for out in generate_comparisons(d, args.k, args.accuracy)]
     save_comparisons_csv(outcomes, args.out)
     print(f"wrote {len(outcomes)} comparisons -> {args.out}")
 

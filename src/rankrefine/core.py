@@ -143,12 +143,11 @@ class ComparisonSet:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Rows of (id, feature vector, target), optionally with display text."""
+    """Rows of (id, feature vector, target)."""
 
     ids: tuple[str, ...]
     features: np.ndarray
     y: np.ndarray
-    text: tuple[str, ...] | None = None
     name: str = "dataset"
 
     def __post_init__(self) -> None:
@@ -173,8 +172,6 @@ class Dataset:
             raise ValidationError("features contain non-finite values")
         if not np.all(np.isfinite(targets)):
             raise ValidationError("targets contain non-finite values")
-        if self.text is not None and len(self.text) != n:
-            raise ValidationError(f"{len(self.text)} text entries for {n} rows")
         feats.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -193,7 +190,6 @@ class Dataset:
             ids=tuple(self.ids[i] for i in idx),
             features=self.features[idx],
             y=self.y[idx],
-            text=tuple(self.text[i] for i in idx) if self.text is not None else None,
             name=self.name,
         )
 
@@ -373,9 +369,9 @@ def _parse_float(cell: str, path: Path, row_num: int, column: str) -> float:
 def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
     """Load a dataset from CSV.
 
-    The header row is required. Column ``y`` is the target; ``id`` and
-    ``text`` are optional; every other column is a numeric feature. Row
-    indices are used as ids when no id column is present.
+    The header row is required. Column ``y`` is the target; ``id`` is
+    optional, and a ``text`` column is ignored; every other column is a
+    numeric feature. Row indices are used as ids when no id column is present.
     """
     path = Path(path)
     header, rows = read_table(path, (TARGET_COLUMN,), (TARGET_COLUMN,), key=ID_COLUMN)
@@ -384,13 +380,10 @@ def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
         raise DataError(f"{path}: no feature columns found")
 
     ids: list[str] = []
-    texts: list[str] = []
     targets: list[float] = []
     features: list[list[float]] = []
     for offset, (line, cells) in enumerate(rows):
         ids.append(cells.get(ID_COLUMN, str(offset)))
-        if TEXT_COLUMN in cells:
-            texts.append(cells[TEXT_COLUMN])
         targets.append(cells[TARGET_COLUMN])
         features.append([_parse_float(cells[c], path, line, c) for c in feature_names])
     if not ids:
@@ -400,7 +393,6 @@ def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
             ids=tuple(ids),
             features=np.array(features, dtype=float),
             y=np.array(targets, dtype=float),
-            text=tuple(texts) if TEXT_COLUMN in header else None,
             name=name if name is not None else path.stem,
         )
     except ValidationError as exc:
@@ -411,9 +403,6 @@ def save_dataset_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset to CSV in a form ``load_dataset_csv`` reads back."""
     header = [ID_COLUMN, *(f"x{j}" for j in range(dataset.n_features)), TARGET_COLUMN]
     rows = ([i, *x, y] for i, x, y in zip(dataset.ids, dataset.features, dataset.y))
-    if dataset.text is not None:
-        header.append(TEXT_COLUMN)
-        rows = ([*row, text] for row, text in zip(rows, dataset.text))
     write_table(path, header, rows)
 
 

@@ -45,7 +45,7 @@ from .forest import ForestConfig, TrainedForest
 from .fusion import check_clamp_c, fuse, regularize_rank_variance, required_rank_variance
 from .rank import solve_rank_estimate
 from .rankers import (
-    OracleDraws, OracleRankerConfig, draw_oracle, generate_comparisons, log_tied_references
+    OracleDraws, check_accuracy, draw_oracle, generate_comparisons, log_tied_references
 )
 from .seeding import derive_rng, derive_seed
 
@@ -158,8 +158,7 @@ class SweepGrid:
         if not self.accuracies:
             raise ValidationError("at least one accuracy is required")
         for a in self.accuracies:
-            if not (math.isfinite(a) and 0.5 <= a <= 1.0):
-                raise ValidationError(f"accuracy must lie in [0.5, 1.0], got {a!r}")
+            check_accuracy(a)
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValidationError("every k must be >= 1")
         if self.seeds < 1:
@@ -266,7 +265,7 @@ def _compute_cell(ctx: _SeedContext, accuracy: float, k: int) -> _Cell:
     grows, so their count names the set: a query whose count matches the last
     solve at this k reuses that solve's comparisons and estimate.
     """
-    OracleRankerConfig(accuracy)  # a reused solve judges nothing, so check here
+    check_accuracy(accuracy)  # a reused solve judges nothing, so check here
     labels_by_id = ctx.train.labels_by_id()
     comparisons, estimates = [], []
     for i, draws in enumerate(ctx.draws):
@@ -395,15 +394,12 @@ def run_baseline_delta(
     def delta_record(cell: _Cell) -> BaselineDeltaRecord:
         ctx = cell.ctx
         if method == "projection":
+            intervals = [FeasibleInterval.from_comparisons(c) for c in cell.comparisons]
             refined = [
-                projection_refine(float(value), comps)
-                for value, comps in zip(ctx.reg.value, cell.comparisons)
+                projection_refine(float(value), interval)
+                for value, interval in zip(ctx.reg.value, intervals)
             ]
-            inconsistent = float(
-                np.mean(
-                    [FeasibleInterval.from_comparisons(c).is_empty for c in cell.comparisons]
-                )
-            )
+            inconsistent = float(np.mean([interval.is_empty for interval in intervals]))
             if inconsistent:
                 logger.info(
                     "projection: %.0f%% inconsistent intervals at seed=%d accuracy=%.2f k=%d",

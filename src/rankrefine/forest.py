@@ -21,7 +21,8 @@ no candidates. The argmin over each node's (feature, gap) costs reads them
 feature by feature, which keeps the tie rule. A cost that is not finite
 means the label sums overflowed float64 and raises ``NumericError``.
 Children keep their parent's row order. Each tree numbers its nodes
-breadth-first from the root, a left child just before its right sibling.
+breadth-first, so the i-th split node's children are nodes 2i + 1 (left) and
+2i + 2: they are derived from ``feature``, not stored.
 
 Prediction walks many trees' rows at once, in blocks under the same budget,
 over the trees' concatenated node arrays. The ensemble mean is the
@@ -67,12 +68,12 @@ class ForestConfig:
 class RegressionTree:
     """One CART tree as parallel node arrays; ``feature == -1`` marks a leaf.
 
-    A split node's left child is node ``left`` and its right child ``left + 1``.
+    Nodes are numbered breadth-first: the i-th split node's children are
+    nodes 2i + 1 (left) and 2i + 2.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     value: np.ndarray
 
 
@@ -148,10 +149,9 @@ def _grow_forest(
     X: np.ndarray, y: np.ndarray, samples: list[np.ndarray]
 ) -> tuple[RegressionTree, ...]:
     """One tree per bootstrap sample of row indices, all grown a depth level at a time."""
-    n_trees = len(samples)
     rows = np.concatenate(samples)
     sizes = np.array([s.size for s in samples])
-    tree = np.arange(n_trees)
+    tree = np.arange(len(samples))
     # Per level, in node order: tree, split feature (-1 at a leaf), threshold.
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     leaf_rows: list[np.ndarray] = []
@@ -182,21 +182,13 @@ def _grow_forest(
         tree = np.repeat(tree[split], 2)
 
     tree, feature, threshold = (np.concatenate(parts) for parts in zip(*levels))
-    split = feature >= 0
-    # Levels end to end: the i-th split node's children are nodes
-    # n_trees + 2i (left) and n_trees + 2i + 1.
-    left = np.where(split, n_trees + 2 * np.cumsum(split) - 2, -1)
     value = np.zeros(feature.size)
-    value[~split] = _leaf_means(y, np.concatenate(leaf_rows), np.concatenate(leaf_sizes))
+    value[feature < 0] = _leaf_means(y, np.concatenate(leaf_rows), np.concatenate(leaf_sizes))
     # A stable sort by tree gives each tree its nodes breadth-first.
     order = np.argsort(tree, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    n_nodes = np.bincount(tree)
-    first = np.cumsum(n_nodes) - n_nodes
-    left = np.where(split, position[left] - first[tree], -1)
-    arrays = (feature.astype(np.int32), threshold, left.astype(np.int32), value)
-    per_tree = zip(*(np.split(array[order], first[1:]) for array in arrays))
+    first = np.cumsum(np.bincount(tree))[:-1]
+    arrays = (feature.astype(np.int32), threshold, value)
+    per_tree = zip(*(np.split(array[order], first) for array in arrays))
     return tuple(RegressionTree(*parts) for parts in per_tree)
 
 
@@ -244,23 +236,28 @@ def _check_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
 
 
 def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
-    """Per-tree predictions, shape (n_trees, n_rows); a cyclic or broken tree raises."""
+    """Per-tree predictions, shape (n_trees, n_rows); a tree whose children do not fit raises."""
     X = _check_matrix(model, X)
-    # Every tree's node arrays end to end, children as indices into them.
+    # Every tree's node arrays end to end. A split node's left child is
+    # 1 + 2 * (split nodes before it in its tree), as an index into them.
     sizes = np.array([tree.feature.size for tree in model.trees])
-    roots = np.cumsum(sizes) - sizes
+    ends = np.cumsum(sizes)
+    roots = ends - sizes
     tree_of = np.repeat(np.arange(sizes.size), sizes)
-    feature, threshold, left, value = (
+    feature, threshold, value = (
         np.concatenate([getattr(tree, name) for tree in model.trees])
-        for name in ("feature", "threshold", "left", "value")
+        for name in ("feature", "threshold", "value")
     )
-    bad = (feature >= 0) & ((left < 0) | (left + 1 >= sizes[tree_of]))
+    split = feature >= 0
+    before = np.cumsum(split) - split
+    left = roots[tree_of] + 1 + 2 * (before - before[roots][tree_of])
+    # Children that follow their parent make every walk end.
+    bad = split & ((left <= np.arange(feature.size)) | (left + 1 >= ends[tree_of]))
     if bad.any():
         raise ValidationError(f"tree {tree_of[bad.argmax()]}: a child index is out of range")
     bad = feature >= X.shape[1]
     if bad.any():
         raise ValidationError(f"tree {tree_of[bad.argmax()]}: a split feature is out of range")
-    left = left + roots[tree_of]
     n_rows = X.shape[0]
     out = np.empty((roots.size, n_rows))
     per_block = max(1, _BLOCK_ELEMENTS // max(n_rows, 1))
@@ -268,16 +265,13 @@ def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
         # Position i of the block walks row i % n_rows down tree first + i // n_rows.
         block = roots[first : first + per_block]
         node = np.repeat(block, n_rows)
-        walking = np.flatnonzero(feature[node] >= 0)
-        budget = sizes[first : first + per_block].max()  # more steps than nodes: a cycle
+        walking = np.flatnonzero(split[node])
         while walking.size:
-            if (budget := budget - 1) < 0:
-                raise ValidationError(f"tree {first + walking[0] // n_rows}: the walk loops")
             at = node[walking]
             goes_left = X[walking % n_rows, feature[at]] < threshold[at]
             at = left[at] + ~goes_left
             node[walking] = at
-            walking = walking[feature[at] >= 0]
+            walking = walking[split[at]]
         out[first : first + per_block] = value[node].reshape(block.size, n_rows)
     return out
 

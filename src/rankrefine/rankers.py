@@ -36,22 +36,10 @@ logger = logging.getLogger(__name__)
 COMPARISONS_HEADER = ("query_id", "ref_id", "outcome")
 
 
-@dataclass(frozen=True)
-class OracleRankerConfig:
-    """A simulated ranker with a known probability of answering correctly.
-
-    Every pair is judged correctly with probability ``accuracy``,
-    independent of how far apart the two values are.
-    """
-
-    accuracy: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.accuracy) and 0.5 <= self.accuracy <= 1.0):
-            raise ValidationError(
-                f"oracle accuracy must lie in [0.5, 1.0], got {self.accuracy!r}"
-            )
+def check_accuracy(accuracy: float) -> None:
+    """Reject an oracle accuracy outside [0.5, 1.0]: the chance it judges a pair correctly."""
+    if not (math.isfinite(accuracy) and 0.5 <= accuracy <= 1.0):
+        raise ValidationError(f"oracle accuracy must lie in [0.5, 1.0], got {accuracy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +91,11 @@ def log_tied_references(draws: Sequence[OracleDraws], n_references: int, where: 
 def generate_comparisons(draws: OracleDraws, k: int, accuracy: float) -> list[ComparisonOutcome]:
     """Judge the query's first k drawn pairs at one accuracy, drawing nothing new.
 
-    Pair i is answered correctly exactly when its flip lies below ``accuracy``, so a
-    higher accuracy flips a subset of a lower one's outcomes: sweeps stay paired.
+    Pair i is answered correctly exactly when its flip lies below ``accuracy``,
+    however far apart the two values are, so a higher accuracy flips a subset of
+    a lower one's outcomes: sweeps stay paired.
     """
-    OracleRankerConfig(accuracy)  # the accuracy check
+    check_accuracy(accuracy)
     query, pool = draws.query_id, draws.n_eligible
     if k > pool:
         raise ValidationError(f"query {query!r}: k={k} exceeds the {pool} eligible references")
@@ -263,6 +252,7 @@ last column, with no other commentary.
 # model's text reply; swapping the transport is how tests avoid the network.
 Transport = Callable[[str, Mapping[str, str], Mapping[str, object]], str]
 RETRY_BASE_S, RETRY_CAP_S = 1.0, 30.0  # llm_rank_batch's backoff, in seconds
+TIMEOUT_S = 60.0  # the HTTP transport's limit on one request, in seconds
 
 
 @dataclass(frozen=True)
@@ -283,7 +273,6 @@ class LlmRankerConfig:
     examples: str = ""
     batch_size: int = 20
     max_retries: int = 3
-    timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if not self.endpoint_url:
@@ -301,13 +290,13 @@ class LlmRankerConfig:
             )
 
 
-def make_http_transport(timeout: float = 60.0) -> Transport:
-    """Transport that POSTs a chat-completion request over HTTP."""
+def make_http_transport() -> Transport:
+    """Transport that POSTs a chat-completion request over HTTP, waiting ``TIMEOUT_S`` at most."""
 
     def transport(url: str, headers: Mapping[str, str], payload: Mapping[str, object]) -> str:
         try:
             response = requests.post(
-                url, headers=dict(headers), json=dict(payload), timeout=timeout
+                url, headers=dict(headers), json=dict(payload), timeout=TIMEOUT_S
             )
         except requests.RequestException as exc:
             raise TransportError(f"request to {url} failed: {exc}") from exc
@@ -420,12 +409,12 @@ def llm_rank_batch(
     answer to their own ids by position, whether or not texts repeat. Pairs
     whose answers cannot be parsed are resubmitted up to
     ``config.max_retries`` more times and then left out with a warning. A
-    failed transport call ``sleep``s ``min(RETRY_CAP_S, retry_after or
-    RETRY_BASE_S * 2**attempt)`` seconds before the next call; failures on
-    the final attempt, or not retryable, propagate.
+    failed transport call ``sleep``s ``min(RETRY_CAP_S, wait)`` seconds, where
+    ``wait`` is its ``retry_after`` (0 too) or else ``RETRY_BASE_S * 2**attempt``;
+    failures on the final attempt, or not retryable, propagate.
     """
     if transport is None:
-        transport = make_http_transport(config.timeout)
+        transport = make_http_transport()
     pair_list = [(str(a), str(b)) for a, b in pairs]
     for a, b in pair_list:
         if not a or not b:
@@ -455,7 +444,8 @@ def llm_rank_batch(
             except TransportError as exc:
                 if attempt == config.max_retries or not exc.retryable:
                     raise
-                sleep(min(RETRY_CAP_S, exc.retry_after or RETRY_BASE_S * 2**attempt))
+                wait = RETRY_BASE_S * 2**attempt if exc.retry_after is None else exc.retry_after
+                sleep(min(RETRY_CAP_S, wait))
                 still_pending.extend(batch)
                 continue
             parsed = parse_ranking_response(content)

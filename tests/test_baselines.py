@@ -26,6 +26,10 @@ def _comparison_set(below=(), above=()):
     return ComparisonSet.from_outcomes(outcomes, labels)
 
 
+def _interval(below=(), above=()):
+    return FeasibleInterval.from_comparisons(_comparison_set(below, above))
+
+
 class TestFeasibleInterval:
     def test_bounds_from_comparisons(self):
         iv = FeasibleInterval.from_comparisons(
@@ -49,30 +53,30 @@ class TestFeasibleInterval:
 
 class TestProjection:
     def test_inside_interval_unchanged(self):
-        cs = _comparison_set(below=[0.0], above=[10.0])
-        assert projection_refine(5.0, cs) == 5.0
+        iv = _interval(below=[0.0], above=[10.0])
+        assert projection_refine(5.0, iv) == 5.0
 
     def test_clamps_to_bounds(self):
-        cs = _comparison_set(below=[2.0], above=[8.0])
-        assert projection_refine(-3.0, cs) == 2.0
-        assert projection_refine(99.0, cs) == 8.0
+        iv = _interval(below=[2.0], above=[8.0])
+        assert projection_refine(-3.0, iv) == 2.0
+        assert projection_refine(99.0, iv) == 8.0
 
     def test_inconsistent_interval_uses_midpoint(self):
-        cs = _comparison_set(below=[6.0], above=[2.0])
-        assert projection_refine(0.0, cs) == pytest.approx(4.0)
+        iv = _interval(below=[6.0], above=[2.0])
+        assert projection_refine(0.0, iv) == pytest.approx(4.0)
 
     def test_empty_comparisons_pass_through(self):
-        cs = _comparison_set()
-        assert projection_refine(1.23, cs) == 1.23
+        iv = _interval()
+        assert projection_refine(1.23, iv) == 1.23
 
     def test_never_moves_away_from_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             below = rng.uniform(-5, 5, size=3)
             above = below.max() + rng.uniform(0.1, 5, size=2)
-            cs = _comparison_set(below=below, above=above)
+            iv = _interval(below=below, above=above)
             y = float(rng.uniform(-10, 10))
-            refined = projection_refine(y, cs)
+            refined = projection_refine(y, iv)
             assert below.max() <= refined <= above.min()
             # Projection can only shrink the distance to any feasible point.
             mid = (below.max() + above.min()) / 2

@@ -39,7 +39,6 @@ def _leaf_tree(value):
     return RegressionTree(
         feature=np.array([-1]),
         threshold=np.array([0.0]),
-        left=np.array([-1]),
         value=np.array([float(value)]),
     )
 
@@ -146,19 +145,16 @@ def _breadth_first(grown):
     for node in order:
         if grown["feature"][node] >= 0:
             order += [grown["left"][node], grown["right"][node]]
-    number = np.empty(len(order), dtype=np.int32)
-    number[order] = np.arange(len(order))
-    feature = grown["feature"][order]
     return RegressionTree(
-        feature=feature,
+        feature=grown["feature"][order],
         threshold=grown["threshold"][order],
-        left=np.where(feature >= 0, number[grown["left"][order]], np.int32(-1)),
         value=grown["value"][order],
     )
 
 
 def _reference_predict(tree, X):
-    # One tree's rows walked node by node.
+    # One tree's rows walked node by node; breadth-first, a split node's left
+    # child is 1 + 2 * (split nodes before it).
     out = np.empty(X.shape[0], dtype=float)
     stack = [(0, np.arange(X.shape[0]))]
     while stack:
@@ -170,8 +166,9 @@ def _reference_predict(tree, X):
             out[rows] = tree.value[node]
             continue
         goes_left = X[rows, f] < tree.threshold[node]
-        stack.append((int(tree.left[node]), rows[goes_left]))
-        stack.append((int(tree.left[node]) + 1, rows[~goes_left]))
+        left = 1 + 2 * int(np.count_nonzero(tree.feature[:node] >= 0))
+        stack.append((left, rows[goes_left]))
+        stack.append((left + 1, rows[~goes_left]))
     return out
 
 
@@ -182,7 +179,8 @@ def _assert_matches_reference(model, train, seed, X):
     for t, ours in enumerate(model.trees):
         rows = derive_rng("forest", seed, t).integers(0, n, size=n)
         theirs = _breadth_first(_reference_grow_tree(train.features[rows], train.y[rows]))
-        for name in ("feature", "threshold", "left", "value"):
+        # A breadth-first split/leaf sequence fixes the tree's shape.
+        for name in ("feature", "threshold", "value"):
             a, b = getattr(ours, name), getattr(theirs, name)
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
@@ -276,7 +274,7 @@ class TestSplitContract:
         monkeypatch.setattr(forest_mod, "_BLOCK_ELEMENTS", 1)
         small = fit(ds, config)
         for ours, theirs in zip(model.trees, small.trees):
-            for name in ("feature", "threshold", "left", "value"):
+            for name in ("feature", "threshold", "value"):
                 assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
         assert np.array_equal(predict_matrix(small, ds.features), predict_matrix(model, ds.features))
 
@@ -287,8 +285,6 @@ class TestSplitContract:
             split = tree.feature >= 0
             n_split = int(split.sum())
             assert tree.feature.size == 1 + 2 * n_split
-            assert np.array_equal(tree.left[split], 1 + 2 * np.arange(n_split))
-            assert np.all(tree.left[~split] == -1)
 
     def test_feature_tie_goes_to_lower_index(self):
         # Both features split the labels perfectly (cost 0), feature 0 at the
@@ -355,12 +351,11 @@ class TestSplitContract:
 
 class TestPredictWalk:
     def test_batched_walk_matches_per_tree_walk(self):
-        # Nodes numbered out of breadth-first order, beside one-leaf trees.
+        # A two-level tree beside one-leaf trees.
         deep = RegressionTree(
-            feature=np.array([1, -1, -1, 0, -1], dtype=np.int32),
-            threshold=np.array([0.5, 0.0, 0.0, -0.25, 0.0]),
-            left=np.array([3, -1, -1, 1, -1], dtype=np.int32),
-            value=np.array([0.0, 30.0, 20.0, 0.0, 10.0]),
+            feature=np.array([1, 0, -1, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, -0.25, 0.0, 0.0, 0.0]),
+            value=np.array([0.0, 0.0, 10.0, 30.0, 20.0]),
         )
         model = TrainedForest(trees=(_leaf_tree(1.5), deep, _leaf_tree(-2.0), deep), n_features=2)
         X = np.random.default_rng(3).uniform(-1, 1, size=(40, 2))
@@ -371,24 +366,25 @@ class TestPredictWalk:
         assert predict_matrix(model, X[:1])[1, 0] == 10.0
 
     def test_cyclic_tree_raises_instead_of_walking_forever(self):
-        # Node 1 splits back to nodes 0 and 1, so every row loops.
+        # Node 3 is the second split node, so its children would be nodes 3
+        # and 4: a row reaching it would step onto itself.
         cyclic = RegressionTree(
-            feature=np.array([0, 0, -1], dtype=np.int32),
-            threshold=np.array([0.5, 0.5, 0.0]),
-            left=np.array([1, 0, -1], dtype=np.int32),
-            value=np.zeros(3),
+            feature=np.array([0, -1, -1, 0, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.0, 0.0, 0.5, 0.0]),
+            value=np.zeros(5),
         )
         model = TrainedForest(trees=(_leaf_tree(1.0), _leaf_tree(2.0), cyclic), n_features=1)
-        with pytest.raises(ValidationError, match="tree 2: the walk loops"):
+        with pytest.raises(ValidationError, match="tree 2: a child index is out of range"):
             predict_matrix(model, np.array([[0.0], [1.0]]))
 
-    @pytest.mark.parametrize("left", [-1, 2], ids=["negative", "past the end"])
-    def test_out_of_range_child_raises(self, left):
+    @pytest.mark.parametrize(
+        "feature", [[0, -1], [0, 0, -1]], ids=["sibling past the end", "past the end"]
+    )
+    def test_out_of_range_child_raises(self, feature):
         broken = RegressionTree(
-            feature=np.array([0, -1, -1], dtype=np.int32),
-            threshold=np.array([0.5, 0.0, 0.0]),
-            left=np.array([left, -1, -1], dtype=np.int32),
-            value=np.zeros(3),
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.full(len(feature), 0.5),
+            value=np.zeros(len(feature)),
         )
         model = TrainedForest(trees=(_leaf_tree(1.0), broken), n_features=1)
         with pytest.raises(ValidationError, match="tree 1: a child index is out of range"):
@@ -398,7 +394,6 @@ class TestPredictWalk:
         split_on_3 = RegressionTree(
             feature=np.array([3, -1, -1], dtype=np.int32),
             threshold=np.array([0.5, 0.0, 0.0]),
-            left=np.array([1, -1, -1], dtype=np.int32),
             value=np.array([0.0, 1.0, 2.0]),
         )
         model = TrainedForest(trees=(_leaf_tree(1.0), split_on_3), n_features=1)

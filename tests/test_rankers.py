@@ -11,9 +11,10 @@ from rankrefine.core import ComparisonOutcome
 from rankrefine.errors import DataError, TransportError, ValidationError
 from rankrefine.rankers import (
     DEFAULT_PROMPT_TEMPLATE,
+    TIMEOUT_S,
     LlmRankerConfig,
-    OracleRankerConfig,
     ReplayTransport,
+    check_accuracy,
     draw_oracle,
     generate_comparisons,
     interactive_rank,
@@ -33,18 +34,18 @@ def _refs(labels):
     return {f"ref{i}": float(v) for i, v in enumerate(labels)}
 
 
-def oracle_compare(query_id, y_query, ref_id, ref_label, config, pair_index):
+def oracle_compare(query_id, y_query, ref_id, ref_label, accuracy, seed, pair_index):
     # The per-pair judge that the draw-then-judge oracle replaced, kept as
     # the scalar reference it must match outcome for outcome.
     if y_query == ref_label:
         raise ValidationError(f"query {query_id!r} ties reference {ref_id!r}")
     truth = y_query > ref_label
-    u = unit_uniform("oracle", config.seed, query_id, pair_index)
-    query_above = truth if u < config.accuracy else not truth
+    u = unit_uniform("oracle", seed, query_id, pair_index)
+    query_above = truth if u < accuracy else not truth
     return ComparisonOutcome(query_id=query_id, ref_id=ref_id, query_above=query_above)
 
 
-def _reference_comparisons(query_id, y_query, labels_by_id, k, config, rng):
+def _reference_comparisons(query_id, y_query, labels_by_id, k, accuracy, seed, rng):
     # The per-cell generator that drew and judged in one pass: ties leave
     # the pool, the first k of a permutation are judged with pair index i.
     eligible = [(rid, label) for rid, label in labels_by_id.items() if label != y_query]
@@ -54,7 +55,7 @@ def _reference_comparisons(query_id, y_query, labels_by_id, k, config, rng):
         )
     order = rng.permutation(len(eligible))
     return [
-        oracle_compare(query_id, y_query, *eligible[j], config, i)
+        oracle_compare(query_id, y_query, *eligible[j], accuracy, seed, i)
         for i, j in enumerate(order[:k])
     ]
 
@@ -66,11 +67,11 @@ def _judge(query_id, y_query, labels, k, accuracy, seed=0, rng_key=0):
 
 class TestOracle:
     def test_config_accuracy_domain(self):
-        OracleRankerConfig(accuracy=0.5)
-        OracleRankerConfig(accuracy=1.0)
+        check_accuracy(0.5)
+        check_accuracy(1.0)
         for bad in (0.49, 1.01, float("nan")):
-            with pytest.raises(ValidationError):
-                OracleRankerConfig(accuracy=bad)
+            with pytest.raises(ValidationError, match="oracle accuracy must lie in"):
+                check_accuracy(bad)
 
     def test_perfect_oracle_always_truthful(self):
         refs = _refs([1.0] * 200)
@@ -117,13 +118,12 @@ class TestOracle:
             qid = f"q{case}"
             draws = draw_oracle(qid, y_query, labels, k_max, case, derive_rng("refs", case))
             assert draws.n_eligible == n_eligible
-            for accuracy in (0.5, 1.0, *fuzz.uniform(0.5, 1.0, size=3)):
-                config = OracleRankerConfig(accuracy=float(accuracy), seed=case)
+            for accuracy in map(float, (0.5, 1.0, *fuzz.uniform(0.5, 1.0, size=3))):
                 for k in range(1, k_max + 1):
                     expected = _reference_comparisons(
-                        qid, y_query, labels, k, config, derive_rng("refs", case)
+                        qid, y_query, labels, k, accuracy, case, derive_rng("refs", case)
                     )
-                    got = generate_comparisons(draws, k, float(accuracy))
+                    got = generate_comparisons(draws, k, accuracy)
                     assert got == expected
                     assert all(type(out.query_above) is bool for out in got)
 
@@ -407,8 +407,13 @@ class TestLlmRankBatch:
 
     @pytest.mark.parametrize(
         "retry_after, expected",
-        [(None, [1.0, 2.0, 4.0, 8.0, 16.0, 30.0]), (7.0, [7.0] * 6), (900.0, [30.0] * 6)],
-        ids=["exponential", "asked", "capped"],
+        [
+            (None, [1.0, 2.0, 4.0, 8.0, 16.0, 30.0]),
+            (7.0, [7.0] * 6),
+            (900.0, [30.0] * 6),
+            (0.0, [0.0] * 6),
+        ],
+        ids=["exponential", "asked", "capped", "asked zero"],
     )
     def test_backoff_honours_retry_after_within_the_cap(self, retry_after, expected):
         state = {"n": 0}
@@ -572,8 +577,8 @@ class TestHttpTransport:
             return _FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
 
         monkeypatch.setattr(requests, "post", capture)
-        make_http_transport(timeout=12.5)("https://x.invalid", {}, {})
-        assert seen["timeout"] == 12.5
+        make_http_transport()("https://x.invalid", {}, {})
+        assert seen["timeout"] == TIMEOUT_S
 
 
 class TestReplayTransport:
