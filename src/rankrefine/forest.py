@@ -241,6 +241,8 @@ def predict_matrix(model: TrainedForest, X: np.ndarray) -> np.ndarray:
     # Every tree's node arrays end to end. A split node's left child is
     # 1 + 2 * (split nodes before it in its tree), as an index into them.
     sizes = np.array([tree.feature.size for tree in model.trees])
+    if not sizes.all():
+        raise ValidationError(f"tree {np.argmin(sizes)}: has no nodes")
     ends = np.cumsum(sizes)
     roots = ends - sizes
     tree_of = np.repeat(np.arange(sizes.size), sizes)

@@ -7,12 +7,14 @@ The negative log-likelihood is strictly convex in the candidate value, so
 the estimate is the unique root of its monotone derivative, and the local
 curvature (Fisher information) supplies a variance for the estimate.
 
-The root is found by bisection. Rather than one derivative evaluation per
-step, each round evaluates, in one vectorised call, every midpoint the next
-``_LEVELS`` steps could visit: the 2**_LEVELS - 1 nodes of a binary tree in
-heap order. Walking that tree with the bisection's exit rules visits exactly
-the points a one-step-at-a-time loop would, so the estimates are the same to
-the bit and only the number of numpy calls shrinks.
+The root is found by bisection, stepping exactly as a loop that evaluates one
+midpoint per step, but evaluating many points per vectorised call: first the
+domain edges (for the clamp tests) and every midpoint the first ``_LEVELS``
+steps could visit, then the ``_PATH`` midpoints of the path the bisection
+would take if the root were where regula falsi puts it. A call is needed again
+only after a wrong guess, and is a full round when a guess went wrong early.
+The prediction picks which points are evaluated but never a step, so the
+estimates are the loop's to the bit.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ VARIANCE_CAP = 1e12
 # after MAX_ITERATIONS bisection steps.
 TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
-# Bisection levels evaluated per derivative call. Each level doubles the
-# candidates per call but a round still advances only this many steps; on the
-# benchmark's sweep and refine sets 3 and 4 levels solve equally fast and 5
-# is slower.
+# Bisection levels of a full round, evaluated by the first derivative call and
+# by any call after a path that went wrong sooner; on the benchmark's sweep
+# and refine sets 3 and 4 solve equally fast and 5 is slower.
 _LEVELS = 4
+# Midpoints of a predicted path per later call; 12 to 16 solve the benchmark's
+# sets equally fast, and at 24 simulating the path costs most of the gain.
+_PATH = 12
 # The search domain is the label range widened by DOMAIN_MARGIN times its
 # width (a width of 1 is used when all labels coincide), so the estimate can
 # land outside the observed labels but not arbitrarily far.
@@ -85,10 +89,10 @@ def bt_nll(candidate: float, comparisons: ComparisonSet) -> float:
 
 def _nll_derivatives(candidates: list[float], comparisons: ComparisonSet) -> list[float]:
     # d/dy of bt_nll at each candidate; strictly increasing in the candidate,
-    # so the NLL is strictly convex and has a unique minimizer. Each row sum
-    # runs along the row's contiguous axis and adds in the same pairwise order
-    # as np.sum of the 1-D row, so every value is bit-identical to evaluating
-    # that candidate alone.
+    # so the NLL is strictly convex and has a unique minimizer. Each side's row
+    # sums run along contiguous rows in np.sum's pairwise order, so every value
+    # is bit-identical to evaluating that candidate alone (one matrix of both
+    # sides summed by column slices is not).
     c = np.array(candidates)[:, None]
     above = np.add.reduce(expit(c - comparisons.above_labels), axis=1)
     below = np.add.reduce(expit(comparisons.below_labels - c), axis=1)
@@ -122,15 +126,17 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
 
     Bisection on the monotone derivative, run until the derivative magnitude
     falls below ``TOLERANCE``, the bracket collapses to adjacent doubles, or
-    ``MAX_ITERATIONS`` steps have run. Each round evaluates the derivative at
-    all midpoints of the next ``_LEVELS`` steps at once (see the module
+    ``MAX_ITERATIONS`` steps have run (logged as a warning). Derivatives are
+    evaluated a round, then a predicted path, per call (see the module
     docstring); the steps taken and the value returned are those of plain
     bisection. When every comparison points one way the minimum sits at a
     domain boundary and the estimate is returned with ``clamped=True``.
     """
     _require_nonempty(comparisons)
     lo, hi = search_domain(comparisons)
-    d_lo, d_hi = _nll_derivatives([lo, hi], comparisons)
+    points = [lo, hi, *_round_midpoints(lo, hi, min(_LEVELS, MAX_ITERATIONS))]
+    known = dict(zip(points, _nll_derivatives(points, comparisons)))
+    d_lo, d_hi = known[lo], known[hi]
 
     if d_lo >= 0.0:
         # NLL is nondecreasing on the whole domain: minimum at the left edge.
@@ -140,7 +146,7 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
         value = hi
         clamped = d_hi < -TOLERANCE
     else:
-        value = _bisect(lo, hi, comparisons)
+        value = _bisect(lo, hi, known, comparisons)
         clamped = False
 
     return RankEstimate(
@@ -148,37 +154,64 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
     )
 
 
-def _bisect(lo: float, hi: float, comparisons: ComparisonSet) -> float:
-    steps = 0
-    while steps < MAX_ITERATIONS:
-        # Heap order: node i has bracket (los[i], his[i]) and midpoint
-        # mids[i]; child 2i+1 is the upper half (taken when the derivative is
-        # negative) and child 2i+2 the lower half. Every midpoint is
-        # 0.5 * (lo + hi) of its own bracket, as in plain bisection, so the
-        # walk visits exactly the points that one step at a time would.
-        levels = min(_LEVELS, MAX_ITERATIONS - steps)
-        los, his, mids = [lo], [hi], [0.5 * (lo + hi)]
-        for i in range(2 ** (levels - 1) - 1):
-            a, b, m = los[i], his[i], mids[i]
-            los += (m, a)
-            his += (b, m)
-            mids += (0.5 * (m + b), 0.5 * (a + m))
-        derivatives = _nll_derivatives(mids, comparisons)
-        node = 0
-        while node < len(mids):
-            value = mids[node]
-            if value == los[node] or value == his[node]:
-                # Bracket has collapsed to adjacent doubles.
-                return value
-            d = derivatives[node]
-            steps += 1
-            if abs(d) <= TOLERANCE:
-                return value
-            if d < 0.0:
-                lo, hi, node = value, his[node], 2 * node + 1
+def _bisect(lo: float, hi: float, known: dict, comparisons: ComparisonSet) -> float:
+    # The scalar bisection loop. ``known`` maps each point evaluated so far to
+    # its derivative; a call is made only when the next midpoint is missing,
+    # for a full round if the last call advanced fewer than ``_LEVELS`` steps
+    # and for the predicted path otherwise.
+    steps = called_at = 0
+    while True:
+        value = 0.5 * (lo + hi)
+        if value == lo or value == hi:
+            # Bracket has collapsed to adjacent doubles.
+            return value
+        if steps == MAX_ITERATIONS:
+            logger.warning("bisection hit the %d-step cap; final bracket [%r, %r]", steps, lo, hi)
+            return value
+        if value not in known:
+            left = MAX_ITERATIONS - steps
+            if steps - called_at < _LEVELS:
+                points = _round_midpoints(lo, hi, min(_LEVELS, left))
             else:
-                lo, hi, node = los[node], value, 2 * node + 2
-    return 0.5 * (lo + hi)
+                root = _predict_root(lo, hi, known[lo], known[hi])
+                points = _predicted_path(lo, hi, root, min(_PATH, left))
+            called_at = steps
+            known.update(zip(points, _nll_derivatives(points, comparisons)))
+        d = known[value]
+        steps += 1
+        if abs(d) <= TOLERANCE:
+            return value
+        lo, hi = (value, hi) if d < 0.0 else (lo, value)
+
+
+def _round_midpoints(lo: float, hi: float, levels: int) -> list[float]:
+    # Every midpoint the next ``levels`` steps from (lo, hi) could visit.
+    mids, brackets = [], [(lo, hi)]
+    for a, b in brackets:
+        mids.append(0.5 * (a + b))
+        if len(brackets) < 2**levels - 1:
+            brackets += ((mids[-1], b), (a, mids[-1]))
+    return mids
+
+
+def _predict_root(lo: float, hi: float, d_lo: float, d_hi: float) -> float:
+    # Regula falsi, weighted so no difference can overflow. Points evaluated
+    # off the walk lie outside (lo, hi), so it is the tightest bracket known.
+    w = d_lo / (d_lo - d_hi)
+    return (1.0 - w) * lo + w * hi
+
+
+def _predicted_path(lo: float, hi: float, root: float, size: int) -> list[float]:
+    # The next steps from (lo, hi) if each derivative had the sign of its
+    # midpoint's offset from the predicted root.
+    path = []
+    for _ in range(size):
+        m = 0.5 * (lo + hi)
+        if m == lo or m == hi:
+            break
+        path.append(m)
+        lo, hi = (m, hi) if m < root else (lo, m)
+    return path
 
 
 def fisher_variance(solution: float, comparisons: ComparisonSet) -> float:

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
-import requests
 
 from .core import ComparisonOutcome, read_table, write_table
 from .errors import DataError, TransportError, ValidationError
@@ -292,6 +291,7 @@ class LlmRankerConfig:
 
 def make_http_transport() -> Transport:
     """Transport that POSTs a chat-completion request over HTTP, waiting ``TIMEOUT_S`` at most."""
+    import requests  # imported here so only this transport pays its start-up cost
 
     def transport(url: str, headers: Mapping[str, str], payload: Mapping[str, object]) -> str:
         try:

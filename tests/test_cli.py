@@ -642,6 +642,18 @@ class TestEntryPoint:
             assert result.stdout.startswith("usage: rankrefine")
             assert "refine" in result.stdout
 
+    def test_start_up_does_not_import_requests(self):
+        # Only the HTTP transport needs requests, so no command pays for it.
+        src = str(Path(rankrefine.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = "import sys, rankrefine.cli; print('requests' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_module_main_help_exits_zero(self, capsys):
         assert main(["sweep", "--help"]) == 0
         assert "--accuracies" in capsys.readouterr().out

@@ -400,6 +400,17 @@ class TestPredictWalk:
         with pytest.raises(ValidationError, match="tree 1: a split feature is out of range"):
             predict_matrix(model, np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("empty_at", [0, 1], ids=["first", "last"])
+    def test_tree_without_nodes_raises(self, empty_at):
+        empty = RegressionTree(
+            feature=np.array([], dtype=np.int32), threshold=np.array([]), value=np.array([])
+        )
+        trees = [_leaf_tree(5.0)]
+        trees.insert(empty_at, empty)
+        model = TrainedForest(trees=tuple(trees), n_features=1)
+        with pytest.raises(ValidationError, match=f"tree {empty_at}: has no nodes"):
+            predict_matrix(model, np.zeros((2, 1)))
+
     def test_zero_rows_keep_the_tree_axis(self):
         model = TrainedForest(trees=(_leaf_tree(0.0), _leaf_tree(2.0), _leaf_tree(4.0)), n_features=3)
         assert predict_matrix(model, np.zeros((0, 3))).shape == (3, 0)

@@ -104,6 +104,20 @@ def _fuzzed_sets(count, seed=2026):
     return sets
 
 
+def _refine_shaped_sets(count, seed=15):
+    """Sets shaped like the refine benchmark's: labels N(0, 2.5), k uniform on
+    1..40 distinct references, judged by a ranker that is right 80% of the time."""
+    rng = np.random.default_rng(seed)
+    references = rng.normal(0.0, 2.5, 500)
+    sets = []
+    for _ in range(count):
+        truth = rng.normal(0.0, 2.5)
+        chosen = references[rng.choice(500, size=int(rng.integers(1, 41)), replace=False)]
+        judged_above = (truth > chosen) == (rng.random(chosen.size) < 0.8)
+        sets.append(ComparisonSet(chosen[judged_above], chosen[~judged_above]))
+    return sets
+
+
 def _grid_minimum(cs, lo, hi, step=1e-4):
     grid = np.arange(lo, hi + step, step)
     values = grid_nll(cs, grid)
@@ -248,6 +262,72 @@ class TestBitIdentity:
             assert (got.value, got.variance, got.clamped) == (
                 want.value, want.variance, want.clamped
             )
+
+
+class TestPredictedPath:
+    """The root prediction only picks which points are evaluated: a bad one
+    costs derivative calls, never a different step."""
+
+    @pytest.mark.parametrize("guess", ["lo", "hi", "nan", "random"])
+    def test_adversarial_predictions_keep_the_scalar_steps(self, monkeypatch, guess):
+        rng = np.random.default_rng(11)
+        guesses = {
+            "lo": lambda lo, hi: lo,
+            "hi": lambda lo, hi: hi,
+            "nan": lambda lo, hi: math.nan,
+            "random": lambda lo, hi: float(rng.uniform(lo, hi)),
+        }
+        predicted = []
+
+        def predict_root(lo, hi, d_lo, d_hi):
+            predicted.append(lo)
+            return guesses[guess](lo, hi)
+
+        monkeypatch.setattr(rank, "_predict_root", predict_root)
+        cases = [(rank.MAX_ITERATIONS, cs) for cs in _fuzzed_sets(2400)]
+        cases += [(m, cs) for m in (1, 2, 3, 5, 7) for cs in _fuzzed_sets(40, seed=7)]
+        for max_iterations, cs in cases:
+            monkeypatch.setattr(rank, "MAX_ITERATIONS", max_iterations)
+            got = solve_rank_estimate(cs)
+            want = _reference_solve_rank_estimate(cs)
+            assert (got.value, got.variance, got.clamped) == (
+                want.value, want.variance, want.clamped
+            ), (max_iterations, cs.below_labels, cs.above_labels)
+        assert len(predicted) > 2400
+
+    def test_derivative_calls_per_solve(self, monkeypatch):
+        calls = []
+        nll_derivatives = rank._nll_derivatives
+
+        def counting(candidates, comparisons):
+            calls.append(len(candidates))
+            return nll_derivatives(candidates, comparisons)
+
+        monkeypatch.setattr(rank, "_nll_derivatives", counting)
+        sets = _refine_shaped_sets(1000)
+        for cs in sets:
+            assert solve_rank_estimate(cs) == _reference_solve_rank_estimate(cs)
+        refine_shaped = len(calls) / len(sets)
+        # Saturated sigmoids at extreme scales, where regula falsi creeps and
+        # full rounds take over.
+        calls.clear()
+        sets = _fuzzed_sets(2400)
+        for cs in sets:
+            solve_rank_estimate(cs)
+        fuzzed = len(calls) / len(sets)
+        assert refine_shaped <= 5.0 and fuzzed <= 5.5, (refine_shaped, fuzzed)
+
+    def test_iteration_cap_logs_one_warning(self, monkeypatch, caplog):
+        cs = _comparison_set(below=[-1.0, 0.3], above=[1.0])
+        with caplog.at_level("WARNING", logger="rankrefine.rank"):
+            solve_rank_estimate(cs)
+        assert not caplog.records
+        monkeypatch.setattr(rank, "MAX_ITERATIONS", 3)
+        with caplog.at_level("WARNING", logger="rankrefine.rank"):
+            est = solve_rank_estimate(cs)
+        assert est == _reference_solve_rank_estimate(cs)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "3-step cap" in caplog.records[0].getMessage()
 
 
 class TestFisherVariance:
