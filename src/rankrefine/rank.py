@@ -43,8 +43,8 @@ MAX_ITERATIONS = 200
 # by any call after a path that went wrong sooner; on the benchmark's sweep
 # and refine sets 3 and 4 solve equally fast and 5 is slower.
 _LEVELS = 4
-# Midpoints of a predicted path per later call; 12 to 16 solve the benchmark's
-# sets equally fast, and at 24 simulating the path costs most of the gain.
+# Midpoints of a predicted path per later call; 10 to 16 solve the benchmark's
+# sets about equally fast, and longer paths cost more to simulate than they save.
 _PATH = 12
 # The search domain is the label range widened by DOMAIN_MARGIN times its
 # width (a width of 1 is used when all labels coincide), so the estimate can
@@ -126,8 +126,8 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
 
     Bisection on the monotone derivative, run until the derivative magnitude
     falls below ``TOLERANCE``, the bracket collapses to adjacent doubles, or
-    ``MAX_ITERATIONS`` steps have run (logged as a warning). Derivatives are
-    evaluated a round, then a predicted path, per call (see the module
+    ``MAX_ITERATIONS`` steps have run (logged as a warning). Each derivative
+    call evaluates a round of midpoints or a predicted path (see the module
     docstring); the steps taken and the value returned are those of plain
     bisection. When every comparison points one way the minimum sits at a
     domain boundary and the estimate is returned with ``clamped=True``.

@@ -606,6 +606,14 @@ class TestExperimentCommands:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _checkout_env():
+    """The environment with the imported package's ``src`` first on PYTHONPATH."""
+    src = str(Path(rankrefine.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestEntryPoint:
     def test_console_script_installed(self):
         # Checked from the declaration an install reads, so it holds in a
@@ -625,12 +633,7 @@ class TestEntryPoint:
             f"import sys; from {module} import {attr}; "
             f"sys.argv[0] = 'rankrefine'; sys.exit({attr}())"
         )
-        src = str(Path(rankrefine.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        runs = [([sys.executable, "-c", wrapper, "--help"], env)]
+        runs = [([sys.executable, "-c", wrapper, "--help"], _checkout_env())]
         exe = shutil.which("rankrefine")
         if exe:
             runs.append(([exe, "--help"], None))
@@ -644,12 +647,10 @@ class TestEntryPoint:
 
     def test_start_up_does_not_import_requests(self):
         # Only the HTTP transport needs requests, so no command pays for it.
-        src = str(Path(rankrefine.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         code = "import sys, rankrefine.cli; print('requests' in sys.modules)"
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=_checkout_env(),
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
