@@ -13,6 +13,8 @@ import argparse
 import logging
 import os
 import sys
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -114,38 +116,35 @@ def _load_table(
     ``texts`` has entries only when a ``text`` column exists, ``labels``
     only when a ``y`` column exists.
     """
-    _, rows = read_table(path, required, numeric=("y",), key="id")
-    ids: list[str] = []
-    texts: dict[str, str] = {}
-    labels: dict[str, float] = {}
-    for _, cells in rows:
-        qid = cells["id"]
-        ids.append(qid)
-        if "text" in cells:
-            texts[qid] = cells["text"]
-        if "y" in cells:
-            labels[qid] = cells["y"]
-    if not ids:
+    header, rows = read_table(path, required, numeric=("y",), key="id")
+    table = [row for _, row in rows]
+    if not table:
         raise DataError(f"{path}: no data rows")
+    ids = list(map(itemgetter(header.index("id")), table))
+    texts, labels = (
+        dict(zip(ids, map(itemgetter(header.index(c)), table))) if c in header else {}
+        for c in ("text", "y")
+    )
     return ids, texts, labels
 
 
 def _load_predictions(path: str | Path) -> tuple[list[str], Estimate]:
     """Read ``id,y_reg,var_reg`` rows; returns the ids and their estimates as arrays."""
     columns = ("id", "y_reg", "var_reg")
-    _, rows = read_table(path, columns, numeric=columns[1:], key="id")
+    header, rows = read_table(path, columns, numeric=columns[1:], key="id")
+    id_at, value_at, variance_at = (header.index(c) for c in columns)
     ids: list[str] = []
     values: list[float] = []
     variances: list[float] = []
-    for line, cells in rows:
-        if cells["var_reg"] <= 0:
+    for line, row in rows:
+        if row[variance_at] <= 0:
             raise DataError(
                 f"{path}: row {line}, column 'var_reg': var_reg must be positive, "
-                f"got {cells['var_reg']!r}"
+                f"got {row[variance_at]!r}"
             )
-        ids.append(cells["id"])
-        values.append(cells["y_reg"])
-        variances.append(cells["var_reg"])
+        ids.append(row[id_at])
+        values.append(row[value_at])
+        variances.append(row[variance_at])
     if not ids:
         raise DataError(f"{path}: no data rows")
     return ids, Estimate(np.array(values), np.array(variances))
@@ -195,8 +194,8 @@ def cmd_refine(args: argparse.Namespace) -> None:
     refined = [i for i, pid in enumerate(ids) if pid in grouped]
     estimates = []
     for i in refined:
-        judged = grouped[ids[i]].items()
-        outcomes = (ComparisonOutcome(ids[i], rid, above) for rid, above in judged)
+        judged = grouped[ids[i]]
+        outcomes = zip(repeat(ids[i]), judged.keys(), judged.values())
         estimates.append(solve_rank_estimate(ComparisonSet.from_outcomes(outcomes, labels)))
     reg_var = reg.variance[refined]
     rank_var = np.array([est.variance for est in estimates])

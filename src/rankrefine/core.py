@@ -5,11 +5,12 @@ the experiment harness) builds on the types defined here. Instances are
 immutable after construction and every operation is pure, so values can be
 shared freely.
 
-Ids live at the edges and labels at the solver: a ``ComparisonOutcome``
-names its query and reference by id where comparisons are read, written or
-asked for, and a ``ComparisonSet`` holds only the reference labels the rank
-estimate reads. References themselves are one ``dict`` of id -> label, in
-file or row order.
+Ids live at the edges and labels at the solver: a ``ComparisonOutcome`` is
+a ``(query_id, ref_id, query_above)`` triple where comparisons are read,
+written or asked for, and a ``ComparisonSet`` holds only the reference labels
+the rank estimate reads; ``from_outcomes`` partitions any such triples.
+References themselves are one ``dict`` of id -> label, in file or row order.
+CSV rows come from ``read_table`` as lists of cells in header order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,12 +70,12 @@ def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
         raise ValidationError(f"{message}, got {bad!r}")
 
 
-@dataclass(frozen=True)
-class ComparisonOutcome:
+class ComparisonOutcome(NamedTuple):
     """One pairwise judgment: is the query's property above the reference's?
 
     ``query_above`` is True exactly when the ranker asserts the query's
-    value exceeds the reference's value.
+    value exceeds the reference's value. It is a ``(query_id, ref_id,
+    query_above)`` tuple, so it equals a plain triple with the same values.
     """
 
     query_id: str
@@ -106,28 +107,28 @@ class ComparisonSet:
     @classmethod
     def from_outcomes(
         cls,
-        outcomes: Iterable[ComparisonOutcome],
+        outcomes: Iterable[tuple[str, str, bool]],
         labels_by_id: Mapping[str, float],
     ) -> "ComparisonSet":
-        """Partition outcomes using the references' known labels.
+        """Partition ``(query_id, ref_id, query_above)`` triples by reference label.
 
-        Raises DataError when a reference id cannot be resolved or the same
-        (query, reference) pair appears twice.
+        Raises DataError at the first triple whose pair repeats, whose reference
+        id is unknown or whose reference label is not finite, checked in that order.
         """
         seen: set[tuple[str, str]] = set()
         below: list[float] = []
         above: list[float] = []
-        for out in outcomes:
-            pair = (out.query_id, out.ref_id)
+        for query_id, ref_id, query_above in outcomes:
+            pair = (query_id, ref_id)
             if pair in seen:
                 raise DataError(f"duplicate comparison for pair {pair}")
             seen.add(pair)
-            if out.ref_id not in labels_by_id:
-                raise DataError(f"comparison references unknown id {out.ref_id!r}")
-            label = float(labels_by_id[out.ref_id])
+            if ref_id not in labels_by_id:
+                raise DataError(f"comparison references unknown id {ref_id!r}")
+            label = float(labels_by_id[ref_id])
             if not math.isfinite(label):
-                raise DataError(f"reference {out.ref_id!r} has non-finite label")
-            (below if out.query_above else above).append(label)
+                raise DataError(f"reference {ref_id!r} has non-finite label")
+            (below if query_above else above).append(label)
         return cls(np.array(below, dtype=float), np.array(above, dtype=float))
 
     def __len__(self) -> int:
@@ -297,15 +298,15 @@ def read_table(
     required: Sequence[str] = (),
     numeric: Collection[str] = (),
     key: str | None = None,
-) -> tuple[tuple[str, ...], Iterator[tuple[int, dict]]]:
+) -> tuple[tuple[str, ...], Iterator[tuple[int, list]]]:
     """Open a CSV file and stream its rows; the one reader of every CSV input.
 
-    Returns the stripped header and an iterator of ``(line, cells)``, where
-    ``line`` is the row's line number in the file and ``cells`` maps column
-    names to cells. Rows are read as the iterator advances. Blank lines are
-    skipped; ``numeric`` cells are parsed as finite floats; ``key`` cells are
-    stripped and must be non-empty and distinct. Every DataError names the
-    path, and the row and column where one applies.
+    Returns the stripped header and an iterator of ``(line, row)``, where
+    ``line`` is the row's line number in the file and ``row`` lists its cells
+    in header order. Rows are read as the iterator advances. Blank lines are
+    skipped; ``numeric`` cells are parsed in place as finite floats; ``key``
+    cells are stripped and must be non-empty and distinct. Every DataError
+    names the path, and the row and column where one applies.
     """
     rows = _table_rows(Path(path), required, numeric, key)
     return next(rows), rows
@@ -329,27 +330,26 @@ def _table_rows(path: Path, required: Sequence[str], numeric: Collection[str], k
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate column names in header")
         yield header
-        parsed = [column for column in header if column in numeric]
+        width = len(header)
+        parsed = [(at, column) for at, column in enumerate(header) if column in numeric]
+        key_at = header.index(key) if key in header else None
         seen: set[str] = set()
         for row in reader:
             if not row:
                 continue
             line = reader.line_num
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {line} has {len(row)} cells, header has {len(header)}"
-                )
-            cells = dict(zip(header, row))
-            for column in parsed:
-                cells[column] = _parse_float(cells[column], path, line, column)
-            if key in cells:
-                value = cells[key] = cells[key].strip()
+            if len(row) != width:
+                raise DataError(f"{path}: row {line} has {len(row)} cells, header has {width}")
+            for at, column in parsed:
+                row[at] = _parse_float(row[at], path, line, column)
+            if key_at is not None:
+                value = row[key_at] = row[key_at].strip()
                 if not value:
                     raise DataError(f"{path}: row {line}, column {key!r}: empty id")
                 if value in seen:
                     raise DataError(f"{path}: row {line}, column {key!r}: duplicate id {value!r}")
                 seen.add(value)
-            yield line, cells
+            yield line, row
 
 
 def _parse_float(cell: str, path: Path, row_num: int, column: str) -> float:
@@ -375,17 +375,20 @@ def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
     """
     path = Path(path)
     header, rows = read_table(path, (TARGET_COLUMN,), (TARGET_COLUMN,), key=ID_COLUMN)
-    feature_names = [c for c in header if c not in (ID_COLUMN, TEXT_COLUMN, TARGET_COLUMN)]
-    if not feature_names:
+    excluded = (ID_COLUMN, TEXT_COLUMN, TARGET_COLUMN)
+    features_at = [(at, c) for at, c in enumerate(header) if c not in excluded]
+    if not features_at:
         raise DataError(f"{path}: no feature columns found")
+    id_at = header.index(ID_COLUMN) if ID_COLUMN in header else None
+    y_at = header.index(TARGET_COLUMN)
 
     ids: list[str] = []
     targets: list[float] = []
     features: list[list[float]] = []
-    for offset, (line, cells) in enumerate(rows):
-        ids.append(cells.get(ID_COLUMN, str(offset)))
-        targets.append(cells[TARGET_COLUMN])
-        features.append([_parse_float(cells[c], path, line, c) for c in feature_names])
+    for offset, (line, row) in enumerate(rows):
+        ids.append(str(offset) if id_at is None else row[id_at])
+        targets.append(row[y_at])
+        features.append([_parse_float(row[at], path, line, c) for at, c in features_at])
     if not ids:
         raise DataError(f"{path}: no data rows")
     try:
@@ -426,8 +429,9 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 def load_references_csv(path: str | Path) -> dict[str, float]:
     """Load reference id -> label, in file order, from any CSV having ``id`` and ``y`` columns."""
     path = Path(path)
-    _, rows = read_table(path, (ID_COLUMN, TARGET_COLUMN), (TARGET_COLUMN,), key=ID_COLUMN)
-    labels = {cells[ID_COLUMN]: cells[TARGET_COLUMN] for _, cells in rows}
+    header, rows = read_table(path, (ID_COLUMN, TARGET_COLUMN), (TARGET_COLUMN,), key=ID_COLUMN)
+    id_at, y_at = header.index(ID_COLUMN), header.index(TARGET_COLUMN)
+    labels = {row[id_at]: row[y_at] for _, row in rows}
     if not labels:
         raise DataError(f"{path}: no data rows")
     return labels

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ _LEVELS = 4
 _PATH = 12
 # The search domain is the label range widened by DOMAIN_MARGIN times its
 # width (a width of 1 is used when all labels coincide), so the estimate can
-# land outside the observed labels but not arbitrarily far.
+# land outside the observed labels but not arbitrarily far. Its ends must lie
+# within _HALF_MAX of zero, so that no midpoint sum overflows.
 DOMAIN_MARGIN = 1.0
+_HALF_MAX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,9 @@ def _nll_derivatives(candidates: list[float], comparisons: ComparisonSet) -> lis
 def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
     """The closed interval the solver searches over.
 
-    Raises NumericError when the widened label range is not finite (labels
-    near the float64 limit, or NaN), since no bisection could run on it.
+    Raises NumericError when the widened label range reaches past half the
+    float64 maximum (labels near the limit, or NaN), since a bisection
+    midpoint ``0.5 * (lo + hi)`` inside it could overflow.
     """
     labels = comparisons.all_labels()
     lo_label = float(np.minimum.reduce(labels))
@@ -113,10 +117,10 @@ def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
         width = 1.0
     lo = lo_label - DOMAIN_MARGIN * width
     hi = hi_label + DOMAIN_MARGIN * width
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    if not (abs(lo) <= _HALF_MAX and abs(hi) <= _HALF_MAX):
         raise NumericError(
-            f"label range [{lo_label!r}, {hi_label!r}] gives a non-finite "
-            f"search domain [{lo!r}, {hi!r}]"
+            f"label range [{lo_label!r}, {hi_label!r}] gives a search domain "
+            f"[{lo!r}, {hi!r}] whose midpoints can overflow float64"
         )
     return lo, hi
 

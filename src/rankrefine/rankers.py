@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import time
+from itertools import repeat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
@@ -101,7 +102,7 @@ def generate_comparisons(draws: OracleDraws, k: int, accuracy: float) -> list[Co
     if not 1 <= k <= len(draws.ref_ids):
         raise ValidationError(f"k={k} lies outside the {len(draws.ref_ids)} drawn pairs")
     above = (draws.truth[:k] == (draws.flips[:k] < accuracy)).tolist()
-    return [ComparisonOutcome(query, rid, a) for rid, a in zip(draws.ref_ids, above)]
+    return list(map(ComparisonOutcome, repeat(query), draws.ref_ids, above))
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,8 @@ def load_comparisons_csv(
             f"{path}: expected header {','.join(COMPARISONS_HEADER)}, got {','.join(header)}"
         )
     grouped: dict[str, dict[str, bool]] = {}
-    for line, cells in rows:
-        query_id, ref_id, outcome = (cells[column].strip() for column in COMPARISONS_HEADER)
+    for line, (query_id, ref_id, outcome) in rows:
+        query_id, ref_id, outcome = query_id.strip(), ref_id.strip(), outcome.strip()
         if not query_id:
             raise DataError(f"{path}: row {line}, column 'query_id': empty id")
         if outcome not in ("0", "1"):

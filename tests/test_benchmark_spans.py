@@ -41,7 +41,11 @@ def test_workload_spans_fire(workload, tmp_path):
 def test_refine_counts_every_comparison_row(tmp_path):
     with open(INPUTS / "comparisons.csv", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row][1:]
-    assert _traced("refine", tmp_path).counts["rankers.rows_read"] == len(rows)
+    tracer = _traced("refine", tmp_path)
+    counts = tracer.counts
+    assert counts["rankers.rows_read"] == counts["rank.comparisons"] == len(rows)
+    # One partition per solved query, so no row is partitioned twice or skipped.
+    assert tracer.spans[spans.PARTITION_SPAN] == counts["rank.solves"] > 0
 
 
 def test_sweep_hashes_do_not_grow_with_accuracies(tmp_path, monkeypatch):

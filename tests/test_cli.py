@@ -192,6 +192,21 @@ class TestRefine:
         assert "label range [-1e+308, 1e+308]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_overflowing_midpoint_is_numeric_error(self, sign, tmp_path, capsys):
+        predictions = _write(tmp_path / "pred.csv", "id,y_reg,var_reg\np1,0.0,1.0\n")
+        references = _write(tmp_path / "refs.csv", f"id,y\nr1,{sign}1e308\nr2,{sign}1.05e308\n")
+        comparisons = _write(tmp_path / "comp.csv", "query_id,ref_id,outcome\np1,r1,1\np1,r2,0\n")
+        out = tmp_path / "refined.csv"
+        code = main([
+            "refine", "--predictions", predictions, "--references", references,
+            "--comparisons", comparisons, "--out", str(out),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "label range" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_id_with_a_comma_stays_one_cell(self, tmp_path, capsys):
         predictions = _write(tmp_path / "pred.csv", 'id,y_reg,var_reg\n"a,b",1.0,1.0\n')
         references = _write(tmp_path / "refs.csv", "id,y\nr1,0.0\n")

@@ -16,6 +16,7 @@ from rankrefine.core import (
     load_references_csv,
     mae,
     pra,
+    read_table,
     resplit,
     save_dataset_csv,
 )
@@ -92,6 +93,52 @@ class TestComparisonSet:
         cs = ComparisonSet.from_outcomes([], self.LABELS)
         assert cs.is_empty
         assert cs.below_labels.size == 0 and cs.above_labels.size == 0
+
+    def test_plain_triples_partition_like_outcomes(self):
+        triples = [("q", "a", True), ("q", "b", False), ("q", "c", False), ("p", "a", False)]
+        outcomes = [ComparisonOutcome(*triple) for triple in triples]
+        from_outcomes = ComparisonSet.from_outcomes(outcomes, self.LABELS)
+        from_triples = ComparisonSet.from_outcomes(iter(triples), self.LABELS)
+        for name in ("below_labels", "above_labels"):
+            a, b = getattr(from_outcomes, name), getattr(from_triples, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize(
+        "triples, message",
+        [
+            (
+                [("q", "a", True), ("q", "zzz", True), ("q", "a", False), ("q", "n", True)],
+                "comparison references unknown id 'zzz'",
+            ),
+            (
+                [("q", "a", True), ("q", "a", False), ("q", "zzz", True), ("q", "n", True)],
+                "duplicate comparison for pair ('q', 'a')",
+            ),
+            (
+                [("q", "b", True), ("q", "n", True), ("q", "zzz", True), ("q", "b", False)],
+                "reference 'n' has non-finite label",
+            ),
+        ],
+        ids=["unknown first", "duplicate first", "non-finite first"],
+    )
+    def test_first_fault_in_order_is_reported(self, triples, message):
+        labels = {**self.LABELS, "n": math.nan}
+        for outcomes in (triples, [ComparisonOutcome(*triple) for triple in triples]):
+            with pytest.raises(DataError) as excinfo:
+                ComparisonSet.from_outcomes(outcomes, labels)
+            assert str(excinfo.value) == message
+
+
+class TestComparisonOutcome:
+    def test_immutable_hashable_tuple_with_named_repr(self):
+        out = ComparisonOutcome("q", "a", True)
+        with pytest.raises(AttributeError):
+            out.query_above = False
+        assert out == ComparisonOutcome(query_id="q", ref_id="a", query_above=True)
+        assert out == ("q", "a", True)
+        assert len({out, ComparisonOutcome("q", "a", True), ComparisonOutcome("q", "a", False)}) == 2
+        assert repr(out) == "ComparisonOutcome(query_id='q', ref_id='a', query_above=True)"
+        assert (out.query_id, out.ref_id, out.query_above) == ("q", "a", True)
 
 
 class TestDataset:
@@ -235,3 +282,13 @@ class TestCsvRoundTrips:
         labels = load_references_csv(path)
         assert list(labels.items()) == [("b", 1.5), ("a", -2.0)]
         assert all(type(v) is float for v in labels.values())
+
+    def test_read_table_rows_are_lists_in_header_order(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("y, id ,text\n1.5,  a ,hi there\n\n-2,b, x \n")
+        header, rows = read_table(path, ("id",), numeric=("y",), key="id")
+        assert header == ("y", "id", "text")
+        rows = list(rows)
+        # Numeric cells are floats and the key is stripped; other cells stay as read.
+        assert rows == [(2, [1.5, "a", "hi there"]), (4, [-2.0, "b", " x "])]
+        assert all(type(row) is list and type(row[0]) is float for _, row in rows)

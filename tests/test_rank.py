@@ -172,6 +172,18 @@ class TestSearchDomain:
         with pytest.raises(NumericError, match="label range"):
             solve_rank_estimate(cs)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_overflowing_midpoint_raises_numeric_error(self, sign):
+        # The domain (9.5e307, 1.1e308) is finite, but its midpoint sum is not.
+        cs = ComparisonSet([sign * 1.0e308], [sign * 1.05e308])
+        with pytest.raises(NumericError, match=r"label range \[-?1(\.05)?e\+308"):
+            search_domain(cs)
+        with pytest.raises(NumericError, match="label range"):
+            solve_rank_estimate(cs)
+        # A domain whose ends stay within half the float64 maximum still solves.
+        inside = solve_rank_estimate(ComparisonSet([0.0], [sign * 4.0e307]))
+        assert math.isfinite(inside.value) and not inside.clamped
+
     def test_widened_by_margin(self):
         cs = _comparison_set(below=[0.0], above=[4.0])
         lo, hi = search_domain(cs)
