@@ -119,8 +119,8 @@ def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
     hi = hi_label + DOMAIN_MARGIN * width
     if not (abs(lo) <= _HALF_MAX and abs(hi) <= _HALF_MAX):
         raise NumericError(
-            f"label range [{lo_label!r}, {hi_label!r}] gives a search domain "
-            f"[{lo!r}, {hi!r}] whose midpoints can overflow float64"
+            f"label range [{lo_label!r}, {hi_label!r}] gives a search domain [{lo!r}, {hi!r}] "
+            f"not within +-{_HALF_MAX!r}, so a bisection midpoint could overflow"
         )
     return lo, hi
 
