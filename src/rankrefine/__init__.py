@@ -9,7 +9,7 @@ experiment protocols, two baseline refiners, and a small bagged regression
 forest that reports honest ensemble variances.
 """
 
-from .baselines import FeasibleInterval, projection_refine, rbr_refine
+from .baselines import feasible_bounds, projection_refine, rbr_refine
 from .core import (
     ComparisonOutcome,
     ComparisonSet,
@@ -78,7 +78,6 @@ __all__ = [
     "Dataset",
     "DataError",
     "Estimate",
-    "FeasibleInterval",
     "ForestConfig",
     "FusedEstimate",
     "LlmRankerConfig",
@@ -96,6 +95,7 @@ __all__ = [
     "beta",
     "bt_nll",
     "draw_oracle",
+    "feasible_bounds",
     "fisher_variance",
     "fit",
     "fuse",

@@ -1,104 +1,86 @@
-"""Alternative ways to refine a prediction, used as comparison points.
+"""Alternative ways to refine predictions, used as comparison points.
 
-Projection treats the comparisons as hard order constraints and snaps the
-prediction into the interval they permit. Regression by re-ranking ignores
-comparisons entirely and smooths the prediction toward the predictions of
-the query's nearest training neighbors.
+Both refiners work on arrays, one entry per query. Projection treats the
+comparisons as hard order constraints and snaps each prediction into the
+interval they permit. Regression by re-ranking ignores comparisons entirely
+and smooths each prediction toward its nearest training neighbors' predictions.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import ComparisonSet, Dataset
+from .core import ComparisonSet, Dataset, _require
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class FeasibleInterval:
-    """The label interval consistent with every comparison taken as exact.
+def feasible_bounds(comparisons: list[ComparisonSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Each set's label interval consistent with every comparison taken as exact.
 
-    Unbounded sides are +-inf. An inconsistent comparison set (some
+    ``lower`` is the highest label below the query and ``upper`` the lowest
+    label above it; an empty side is -inf or +inf. An inconsistent set (some
     reference ranked below the query carries a higher label than one ranked
     above it) yields ``lower > upper``.
     """
-
-    lower: float
-    upper: float
-
-    @classmethod
-    def from_comparisons(cls, comparisons: ComparisonSet) -> "FeasibleInterval":
-        lower = (
-            float(np.max(comparisons.below_labels))
-            if len(comparisons.below_labels)
-            else -math.inf
-        )
-        upper = (
-            float(np.min(comparisons.above_labels))
-            if len(comparisons.above_labels)
-            else math.inf
-        )
-        return cls(lower=lower, upper=upper)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lower > self.upper
+    lower = np.array([np.maximum.reduce(c.below_labels, initial=-np.inf) for c in comparisons])
+    upper = np.array([np.minimum.reduce(c.above_labels, initial=np.inf) for c in comparisons])
+    return lower, upper
 
 
-def projection_refine(y_pred: float, interval: FeasibleInterval) -> float:
-    """Clamp the prediction into a comparison set's feasible interval.
+def projection_refine(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Clamp each prediction into its feasible interval ``[lower, upper]``.
 
     Predictions already inside the interval pass through unchanged; an empty
-    comparison set's (-inf, inf) constrains nothing. When the interval is
+    comparison set's (-inf, inf) constrains nothing. Where the interval is
     inconsistent there is nothing to project onto, so the midpoint of the
     crossed bounds is returned as the least-commitment fallback.
     """
-    if not math.isfinite(y_pred):
-        raise ValidationError(f"prediction must be finite, got {y_pred!r}")
-    if interval.is_empty:
-        return 0.5 * (interval.lower + interval.upper)
-    return min(max(y_pred, interval.lower), interval.upper)
+    values = np.array(values, dtype=float)
+    _require(np.isfinite(values), values, "prediction must be finite")
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    # Both sides unbounded gives -inf + inf = nan here, which np.select discards.
+    with np.errstate(invalid="ignore"):
+        midpoint = 0.5 * (lower + upper)
+    # The first true condition wins, which is min(max(y, lower), upper) with
+    # Python's tie rule, so even a signed zero comes out as the scalar clamp's.
+    conditions = [lower > upper, lower > values, upper < values]
+    return np.select(conditions, [midpoint, lower, upper], values)
 
 
 def rbr_refine(
     query_features: np.ndarray,
-    query_pred: float,
+    query_preds: np.ndarray,
     train: Dataset,
     train_preds: np.ndarray,
     k: int,
-) -> float:
-    """Smooth a prediction toward its k nearest training neighbors' predictions.
+) -> np.ndarray:
+    """Smooth each prediction toward its k nearest training neighbors' predictions.
 
-    The refined value is the weighted mean of the query's own prediction
-    (weight 1) and the model's predictions for the k training rows closest
-    to the query in Euclidean feature distance d, each weighted 1 / (1 + d).
-    Neighbor ties at the cutoff are broken by training-row order. ``k=0``
-    returns the prediction unchanged.
+    Row i of ``query_features`` belongs to ``query_preds[i]``. Its refined
+    value is the weighted mean of that prediction (weight 1) and the model's
+    predictions for the k training rows closest to it in Euclidean feature
+    distance d, each weighted 1 / (1 + d). Neighbor ties at the cutoff are
+    broken by training-row order. ``k=0`` returns the predictions unchanged.
     """
-    if not math.isfinite(query_pred):
-        raise ValidationError(f"prediction must be finite, got {query_pred!r}")
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
+    query_preds = np.array(query_preds, dtype=float)
+    _require(np.isfinite(query_preds), query_preds, "prediction must be finite")
+    if not 0 <= k <= len(train):
+        raise ValidationError(f"k must lie in [0, {len(train)}], the training row count; got {k}")
     if k == 0:
-        return query_pred
-    if k > len(train):
-        raise ValidationError(f"k={k} exceeds the {len(train)} training rows")
-    query = np.asarray(query_features, dtype=float)
-    if query.shape != (train.n_features,):
-        raise ValidationError(
-            f"query features have shape {query.shape}, expected ({train.n_features},)"
-        )
+        return query_preds
+    queries = np.asarray(query_features, dtype=float)
     preds = np.asarray(train_preds, dtype=float)
-    if preds.shape != (len(train),):
-        raise ValidationError(
-            f"train_preds has shape {preds.shape}, expected ({len(train)},)"
-        )
-    distances = np.sqrt(np.sum((train.features - query) ** 2, axis=1))
-    nearest = np.argsort(distances, kind="stable")[:k]
-    weights = 1.0 / (1.0 + distances[nearest])
-    numerator = query_pred + float(np.sum(weights * preds[nearest]))
-    denominator = 1.0 + float(np.sum(weights))
+    for name, array, shape in (
+        ("query_features", queries, (query_preds.size, train.n_features)),
+        ("train_preds", preds, (len(train),)),
+    ):
+        if array.shape != shape:
+            raise ValidationError(f"{name} has shape {array.shape}, expected {shape}")
+    # Every sum below reduces contiguous rows along the last axis, so each
+    # query's sums add in the order a one-query 1-d sum would.
+    distances = np.sqrt(np.sum((train.features - queries[:, None, :]) ** 2, axis=2))
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    weights = 1.0 / (1.0 + np.take_along_axis(distances, nearest, axis=1))
+    numerator = query_preds + np.sum(weights * preds[nearest], axis=1)
+    denominator = 1.0 + np.sum(weights, axis=1)
     return numerator / denominator

@@ -75,9 +75,16 @@ REFINE_HEADER = (
     "clamped",
 )
 
+RANGE_RESOLUTION = 1e-10  # range values are rounded to 10 decimals
+
 
 def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
-    """Parse "a,b,c" or an inclusive "start:step:stop" range."""
+    """Parse "a,b,c" or an inclusive "start:step:stop" range.
+
+    A range lists each value once, increasing, rounded to 10 decimals and
+    ending at or before ``stop``; a value up to 1e-9 past ``stop`` counts as
+    ``stop``, which absorbs the float error of the last step.
+    """
     text = text.strip()
     try:
         if ":" in text:
@@ -87,13 +94,13 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
             start, step, stop = (float(p) for p in parts)
             if not (np.all(np.isfinite((start, step, stop))) and step > 0 and stop >= start):
                 raise ValueError("need finite values, step > 0 and stop >= start")
-            values = []
+            if step < RANGE_RESOLUTION:
+                raise ValueError(f"step must be >= the {RANGE_RESOLUTION:g} range resolution")
+            values: list[float] = []
             i = 0
-            while True:
-                v = round(start + i * step, 10)
-                if v > stop + 1e-9:
-                    break
-                values.append(min(v, stop))
+            while (v := round(start + i * step, 10)) <= stop + 1e-9:
+                if not values or min(v, stop) > values[-1]:
+                    values.append(min(v, stop))
                 i += 1
             return tuple(values)
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -337,8 +344,12 @@ def _rank_llm(args: argparse.Namespace) -> None:
         # Reference labels are already known; the truth file only has to
         # cover the queries (it may restate or override references).
         labels = {**ref_labels, **load_references_csv(args.truth)}
-        score = pra(outcomes, labels)
-        print(f"PRA against truth: {score:.4f} over {len(outcomes)} pairs")
+        try:
+            score = pra(outcomes, labels)
+        except ValidationError as exc:  # no answered pair, or every one a tie
+            print(f"PRA against truth: undefined ({exc})")
+        else:
+            print(f"PRA against truth: {score:.4f} over {len(outcomes)} pairs")
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:

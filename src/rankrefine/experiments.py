@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import forest as forest_mod
-from .baselines import FeasibleInterval, projection_refine, rbr_refine
+from .baselines import feasible_bounds, projection_refine, rbr_refine
 from .core import (
     ComparisonSet,
     Dataset,
@@ -213,13 +213,13 @@ def _build_seed_context(
     seed_index: int,
     master_seed: int,
     train_size: int,
-    forest_config: ForestConfig,
+    n_trees: int,
     k: int,
 ) -> _SeedContext:
     """Fit one re-split and draw each test query's oracle pairs for cells up to k."""
     split = SplitSpec(train_size=train_size, seed=derive_seed("split", master_seed, seed_index))
     train, test = resplit(dataset, split)
-    config = replace(forest_config, seed=derive_seed("forest-seed", master_seed, seed_index))
+    config = ForestConfig(n_trees=n_trees, seed=derive_seed("forest-seed", master_seed, seed_index))
     model = forest_mod.fit(train, config)
     reg_values, reg_variances = forest_mod.predict_with_variance_matrix(
         model, test.features
@@ -293,13 +293,13 @@ def _compute_cell(ctx: _SeedContext, accuracy: float, k: int) -> _Cell:
 def _run_grid(
     dataset: Dataset,
     grid: SweepGrid,
-    forest_config: ForestConfig,
+    n_trees: int,
     master_seed: int,
     reduce: Callable[[_Cell], object],
 ) -> list:
     """Reduce every cell of the grid: seeds outermost, then accuracies, then ks."""
     contexts = [
-        _build_seed_context(dataset, i, master_seed, grid.train_size, forest_config, max(grid.ks))
+        _build_seed_context(dataset, i, master_seed, grid.train_size, n_trees, max(grid.ks))
         for i in range(grid.seeds)
     ]
     return [
@@ -337,19 +337,19 @@ def _sweep_record(cell: _Cell, dataset_name: str, clamp_c: float) -> SweepRecord
 def run_oracle_sweep(
     dataset: Dataset,
     grid: SweepGrid = SweepGrid(),
-    forest_config: ForestConfig = ForestConfig(),
+    n_trees: int = 100,
     master_seed: int = 0,
 ) -> list[SweepRecord]:
     """Run the full (seed, accuracy, k) grid of simulated-ranker pipelines.
 
     Order of records: seeds outermost, then accuracies, then ks, matching
     the construction order of the grid. Deterministic in (dataset, grid,
-    forest_config, master_seed).
+    n_trees, master_seed).
     """
     return _run_grid(
         dataset,
         grid,
-        forest_config,
+        n_trees,
         master_seed,
         lambda cell: _sweep_record(cell, dataset.name, grid.clamp_c),
     )
@@ -376,7 +376,7 @@ def run_baseline_delta(
     dataset: Dataset,
     grid: SweepGrid,
     method: str,
-    forest_config: ForestConfig = ForestConfig(),
+    n_trees: int = 100,
     master_seed: int = 0,
 ) -> list[BaselineDeltaRecord]:
     """Compare fusion against a baseline refiner on shared comparisons.
@@ -394,12 +394,9 @@ def run_baseline_delta(
     def delta_record(cell: _Cell) -> BaselineDeltaRecord:
         ctx = cell.ctx
         if method == "projection":
-            intervals = [FeasibleInterval.from_comparisons(c) for c in cell.comparisons]
-            refined = [
-                projection_refine(float(value), interval)
-                for value, interval in zip(ctx.reg.value, intervals)
-            ]
-            inconsistent = float(np.mean([interval.is_empty for interval in intervals]))
+            lower, upper = feasible_bounds(cell.comparisons)
+            refined = projection_refine(ctx.reg.value, lower, upper)
+            inconsistent = float(np.mean(lower > upper))
             if inconsistent:
                 logger.info(
                     "projection: %.0f%% inconsistent intervals at seed=%d accuracy=%.2f k=%d",
@@ -409,12 +406,11 @@ def run_baseline_delta(
                     cell.k,
                 )
         else:
-            refined = [
-                rbr_refine(features, float(value), ctx.train, ctx.train_values, cell.k)
-                for features, value in zip(ctx.test.features, ctx.reg.value)
-            ]
+            refined = rbr_refine(
+                ctx.test.features, ctx.reg.value, ctx.train, ctx.train_values, cell.k
+            )
         beta_fused = _sweep_record(cell, dataset.name, grid.clamp_c).beta
-        beta_baseline = beta(mae(np.array(refined), ctx.test.y), ctx.mae_reg)
+        beta_baseline = beta(mae(refined, ctx.test.y), ctx.mae_reg)
         return BaselineDeltaRecord(
             dataset=dataset.name,
             seed=ctx.seed_index,
@@ -425,7 +421,7 @@ def run_baseline_delta(
             delta=beta_fused - beta_baseline,
         )
 
-    return _run_grid(dataset, grid, forest_config, master_seed, delta_record)
+    return _run_grid(dataset, grid, n_trees, master_seed, delta_record)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +467,7 @@ def run_noise_sweep(
     accuracy: float = 0.8,
     seeds: int = 5,
     train_size: int = 50,
-    forest_config: ForestConfig = ForestConfig(),
+    n_trees: int = 100,
     master_seed: int = 0,
 ) -> NoiseSweepResult:
     """Measure how fusion degrades as rank variances are mis-stated.
@@ -505,7 +501,7 @@ def run_noise_sweep(
             )
         return records, cell.rank.variance
 
-    per_seed = _run_grid(dataset, grid, forest_config, master_seed, seed_records)
+    per_seed = _run_grid(dataset, grid, n_trees, master_seed, seed_records)
     pooled = np.concatenate([variances for _, variances in per_seed])
     return NoiseSweepResult(
         records=tuple(record for records, _ in per_seed for record in records),

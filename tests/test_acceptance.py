@@ -36,7 +36,6 @@ from rankrefine.experiments import (
     validate_bound,
     write_sweep_csv,
 )
-from rankrefine.forest import ForestConfig
 from rankrefine.fusion import fuse
 from rankrefine.rank import fisher_variance, search_domain, solve_rank_estimate
 from rankrefine.rankers import llm_rank_batch, load_replay_transport, LlmRankerConfig
@@ -68,7 +67,7 @@ def seed_contexts(dataset):
     its context was drawn.
     """
     return [
-        _build_seed_context(dataset, i, MASTER_SEED, 50, ForestConfig(), 20) for i in range(5)
+        _build_seed_context(dataset, i, MASTER_SEED, 50, 100, 20) for i in range(5)
     ]
 
 

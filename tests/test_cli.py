@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import golden
@@ -16,7 +17,7 @@ import rankrefine
 from rankrefine import cli, forest
 from rankrefine.cli import _parse_float_list, _parse_int_list, main
 from rankrefine.core import Dataset, load_dataset_csv, save_dataset_csv
-from rankrefine.experiments import make_synthetic_dataset
+from rankrefine.experiments import DEFAULT_ACCURACIES, make_synthetic_dataset
 from rankrefine.errors import ValidationError
 from rankrefine.rankers import load_replay_transport
 
@@ -67,6 +68,51 @@ class TestArgParsing:
         # Each of these once looped forever, growing its value list.
         with pytest.raises(ValidationError, match="finite"):
             _parse_float_list(text, "x")
+
+    def test_fine_step_range_lists_each_value_once(self):
+        # Values within 1e-9 past stop count as stop; each once listed it again.
+        values = _parse_float_list("0:1e-10:1e-8", "x")
+        assert len(values) == 101
+        assert values[-1] == 1e-8
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("text", ["0:4e-11:1e-8", "0:1e-300:1", "0.5:1e-13:1.0"])
+    def test_float_list_rejects_sub_resolution_step(self, text):
+        # Values round to 10 decimals, so a finer step repeats them or never ends.
+        with pytest.raises(ValidationError, match="1e-10 range resolution"):
+            _parse_float_list(text, "x")
+
+    def test_ranges_match_the_plain_rounding_loop(self):
+        """Every range keeps the values of the loop it replaced, minus repeats."""
+
+        def plain(start, step, stop):
+            values, i = [], 0
+            while (v := round(start + i * step, 10)) <= stop + 1e-9:
+                values.append(min(v, stop))
+                i += 1
+            return tuple(dict.fromkeys(values))
+
+        assert _parse_float_list("0.50:0.05:1.00", "x") == DEFAULT_ACCURACIES
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            start = float(rng.choice([0.0, 0.5, -1.25, rng.uniform(-10, 10)]))
+            step = float(10.0 ** rng.uniform(-10, 1))
+            stop = start + float(rng.choice([0.0, step * rng.integers(0, 50), rng.uniform(0, 5)]))
+            if (stop - start) / step > 2000:
+                continue
+            text = f"{start!r}:{step!r}:{stop!r}"
+            assert _parse_float_list(text, "x") == plain(start, step, stop), text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["noise", "--bs", "0:1e-300:1"], ["sweep", "--accuracies", "0.5:1e-13:1.0"]],
+        ids=["noise", "sweep"],
+    )
+    def test_sub_resolution_step_flag_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "range resolution" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_range_flag_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "n.csv"
@@ -452,6 +498,47 @@ class TestRankLlmReplay:
         assert code == 0
         # One of the six recorded answers disagrees with the labels.
         assert "PRA against truth: 0.8333" in capsys.readouterr().out
+
+    def test_no_answered_pair_leaves_pra_undefined(self, tmp_path, capsys):
+        queries, references, truth = self._inputs(tmp_path)
+        replay = _write(tmp_path / "replay.json", '["no answer here"]')
+        out = tmp_path / "out.csv"
+        code = main([
+            "rank", "--source", "llm", "--queries", queries,
+            "--references", references, "--k", "3",
+            "--endpoint", "https://example.invalid/v1/chat/completions",
+            "--model", "solubility-ranker",
+            "--replay", replay, "--max-retries", "0",
+            "--truth", truth,
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert out.read_text() == "query_id,ref_id,outcome\n"
+        assert "ranked 0 of 6 pairs" in captured.out
+        assert "PRA against truth: undefined (pra of an empty outcome list" in captured.out
+
+    def test_all_tied_truth_leaves_pra_undefined(self, tmp_path, capsys):
+        queries, references, _ = self._inputs(tmp_path)
+        truth = _write(
+            tmp_path / "truth.csv", "id,y\nq1,1.0\nq2,1.0\nr1,1.0\nr2,1.0\nr3,1.0\n"
+        )
+        out = tmp_path / "out.csv"
+        code = main([
+            "rank", "--source", "llm", "--queries", queries,
+            "--references", references, "--k", "3",
+            "--endpoint", "https://example.invalid/v1/chat/completions",
+            "--model", "solubility-ranker",
+            "--replay", str(REPLAY_FIXTURE),
+            "--truth", truth,
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert out.read_text() == self.EXPECTED
+        assert "PRA against truth: undefined (pra is undefined: every pair was a tie)" in (
+            captured.out
+        )
 
     def test_truth_may_cover_queries_only(self, tmp_path, capsys):
         """Reference labels come from the references CSV; the truth file

@@ -27,11 +27,10 @@ from rankrefine.experiments import (
     write_noise_csv,
     write_sweep_csv,
 )
-from rankrefine.forest import ForestConfig
 
 # Small settings so harness tests run in seconds; the defaults are exercised
 # by the acceptance suite.
-FAST_FOREST = ForestConfig(n_trees=8)
+FAST_TREES = 8
 FAST_GRID = SweepGrid(accuracies=(0.6, 0.9), ks=(3, 5), seeds=2, train_size=50)
 
 
@@ -102,13 +101,19 @@ class TestValidateBound:
 class TestOracleSweep:
     def test_record_fields_consistent(self):
         recs = run_oracle_sweep(
-            _fast_dataset(), FAST_GRID, forest_config=FAST_FOREST, master_seed=0
+            _fast_dataset(), FAST_GRID, n_trees=FAST_TREES, master_seed=0
         )
         assert len(recs) == 2 * 2 * 2  # seeds x accuracies x ks
         for r in recs:
             assert r.beta == pytest.approx(r.mae_post / r.mae_reg, rel=1e-12)
             assert 0.0 <= r.clamp_rate <= 1.0
             assert r.mean_rank_variance > 0.0
+
+    def test_n_trees_sets_each_forest_size(self):
+        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_TREES, 5)
+        assert len(ctx.model.trees) == FAST_TREES
+        with pytest.raises(ValidationError, match="n_trees must be >= 2"):
+            run_oracle_sweep(_fast_dataset(), FAST_GRID, n_trees=1)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
@@ -124,17 +129,17 @@ class TestOracleSweep:
 
     def test_master_seed_changes_results(self):
         ds = _fast_dataset()
-        a = run_oracle_sweep(ds, FAST_GRID, forest_config=FAST_FOREST, master_seed=0)
-        b = run_oracle_sweep(ds, FAST_GRID, forest_config=FAST_FOREST, master_seed=1)
+        a = run_oracle_sweep(ds, FAST_GRID, n_trees=FAST_TREES, master_seed=0)
+        b = run_oracle_sweep(ds, FAST_GRID, n_trees=FAST_TREES, master_seed=1)
         assert a != b
 
     def test_perfect_oracle_never_flips(self):
         grid = SweepGrid(accuracies=(1.0,), ks=(5,), seeds=1, train_size=50)
         a = run_oracle_sweep(
-            _fast_dataset(), grid, forest_config=FAST_FOREST, master_seed=2
+            _fast_dataset(), grid, n_trees=FAST_TREES, master_seed=2
         )
         b = run_oracle_sweep(
-            _fast_dataset(), grid, forest_config=FAST_FOREST, master_seed=2
+            _fast_dataset(), grid, n_trees=FAST_TREES, master_seed=2
         )
         assert a == b
 
@@ -143,7 +148,7 @@ class TestCellReuse:
     """A cell that reuses an earlier cell's solve is indistinguishable from a fresh one."""
 
     def test_shuffled_repeated_cells_equal_fresh_cells(self, monkeypatch):
-        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_FOREST, 10)
+        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_TREES, 10)
         order = [
             (0.8, 5), (0.6, 10), (0.8, 5), (1.0, 10), (0.55, 5), (0.6, 10),
             (0.9, 10), (0.9, 5), (0.75, 10), (1.0, 5), (0.55, 10), (0.8, 5),
@@ -166,7 +171,7 @@ class TestCellReuse:
 
     def test_k_past_a_tied_pool_raises_at_the_first_cell_reaching_it(self):
         ties = load_dataset_csv(Path(__file__).parent / "data" / "cli_inputs" / "ties.csv")
-        ctx = _build_seed_context(ties, 0, 0, 30, FAST_FOREST, 22)
+        ctx = _build_seed_context(ties, 0, 0, 30, FAST_TREES, 22)
         short = next(i for i, d in enumerate(ctx.draws) if d.n_eligible < 22)
         assert short > 0  # earlier queries of that cell solve before it raises
         draws = ctx.draws[short]
@@ -179,7 +184,7 @@ class TestCellReuse:
 
     def test_bad_accuracy_raises_even_when_every_count_matches(self):
         # Every flip lies below both 1.0 and 1.5, so no query would solve afresh.
-        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_FOREST, 5)
+        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_TREES, 5)
         _compute_cell(ctx, 1.0, 5)
         with pytest.raises(ValidationError, match="accuracy must lie in"):
             _compute_cell(ctx, 1.5, 5)
@@ -190,9 +195,9 @@ class TestBaselineDelta:
         # The delta run shares comparisons with the plain sweep, so its fused
         # column must reproduce the sweep betas exactly.
         ds = _fast_dataset()
-        sweep = run_oracle_sweep(ds, FAST_GRID, forest_config=FAST_FOREST, master_seed=3)
+        sweep = run_oracle_sweep(ds, FAST_GRID, n_trees=FAST_TREES, master_seed=3)
         delta = run_baseline_delta(
-            ds, FAST_GRID, method="projection", forest_config=FAST_FOREST, master_seed=3
+            ds, FAST_GRID, method="projection", n_trees=FAST_TREES, master_seed=3
         )
         sweep_by_cell = {(r.seed, r.accuracy, r.k): r.beta for r in sweep}
         for r in delta:
@@ -202,7 +207,7 @@ class TestBaselineDelta:
     def test_rbr_ignores_comparisons(self):
         ds = _fast_dataset()
         recs = run_baseline_delta(
-            ds, FAST_GRID, method="rbr", forest_config=FAST_FOREST, master_seed=3
+            ds, FAST_GRID, method="rbr", n_trees=FAST_TREES, master_seed=3
         )
         by_seed_k = {}
         for r in recs:
@@ -213,7 +218,7 @@ class TestBaselineDelta:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             run_baseline_delta(
-                _fast_dataset(), FAST_GRID, method="psychic", forest_config=FAST_FOREST
+                _fast_dataset(), FAST_GRID, method="psychic", n_trees=FAST_TREES
             )
 
 
@@ -222,10 +227,10 @@ class TestNoiseSweep:
         ds = _fast_dataset()
         result = run_noise_sweep(
             ds, bs=(0.0, 2.0), k=5, accuracy=0.9, seeds=2,
-            forest_config=FAST_FOREST, master_seed=4,
+            n_trees=FAST_TREES, master_seed=4,
         )
         grid = SweepGrid(accuracies=(0.9,), ks=(5,), seeds=2, train_size=50)
-        sweep = run_oracle_sweep(ds, grid, forest_config=FAST_FOREST, master_seed=4)
+        sweep = run_oracle_sweep(ds, grid, n_trees=FAST_TREES, master_seed=4)
         sweep_beta = {r.seed: r.beta for r in sweep}
         for rec in result.records:
             if rec.b == 0.0:
@@ -237,7 +242,7 @@ class TestNoiseSweep:
         ds = _fast_dataset()
         result = run_noise_sweep(
             ds, bs=(0.0, 1.0, 2.0), k=5, accuracy=0.9, seeds=1,
-            forest_config=FAST_FOREST, master_seed=5,
+            n_trees=FAST_TREES, master_seed=5,
         )
         assert result.rank_var_mean > 0.0
         assert result.rank_var_sd >= 0.0
@@ -256,7 +261,7 @@ class TestNoiseSweep:
 class TestCsvWriters:
     def test_sweep_csv_layout(self, tmp_path):
         recs = run_oracle_sweep(
-            _fast_dataset(), FAST_GRID, forest_config=FAST_FOREST, master_seed=0
+            _fast_dataset(), FAST_GRID, n_trees=FAST_TREES, master_seed=0
         )
         path = tmp_path / "sweep.csv"
         write_sweep_csv(recs, path)
@@ -279,7 +284,7 @@ class TestCsvWriters:
     def test_baseline_csv_layout(self, tmp_path):
         recs = run_baseline_delta(
             _fast_dataset(), FAST_GRID, method="projection",
-            forest_config=FAST_FOREST, master_seed=0,
+            n_trees=FAST_TREES, master_seed=0,
         )
         path = tmp_path / "delta.csv"
         write_baseline_csv(recs, path)
@@ -290,7 +295,7 @@ class TestCsvWriters:
     def test_noise_csv_layout(self, tmp_path):
         result = run_noise_sweep(
             _fast_dataset(), bs=(0.0, 1.0), k=5, accuracy=0.9, seeds=1,
-            forest_config=FAST_FOREST, master_seed=0,
+            n_trees=FAST_TREES, master_seed=0,
         )
         path = tmp_path / "noise.csv"
         write_noise_csv(result, path)
@@ -312,7 +317,7 @@ class TestCsvWriters:
 
     def test_writes_are_byte_stable(self, tmp_path):
         recs = run_oracle_sweep(
-            _fast_dataset(), FAST_GRID, forest_config=FAST_FOREST, master_seed=0
+            _fast_dataset(), FAST_GRID, n_trees=FAST_TREES, master_seed=0
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_csv(recs, p1)
