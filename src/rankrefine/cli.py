@@ -76,6 +76,7 @@ REFINE_HEADER = (
 )
 
 RANGE_RESOLUTION = 1e-10  # range values are rounded to 10 decimals
+MAX_RANGE_VALUES = 100_000  # a longer range is refused before any value is built
 
 
 def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
@@ -83,7 +84,9 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
 
     A range lists each value once, increasing, rounded to 10 decimals and
     ending at or before ``stop``; a value up to 1e-9 past ``stop`` counts as
-    ``stop``, which absorbs the float error of the last step.
+    ``stop``, which absorbs the float error of the last step. A range of more
+    than ``MAX_RANGE_VALUES`` steps from ``start`` to ``stop``, or of more
+    than ``MAX_RANGE_VALUES`` values, is refused.
     """
     text = text.strip()
     try:
@@ -96,12 +99,19 @@ def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
                 raise ValueError("need finite values, step > 0 and stop >= start")
             if step < RANGE_RESOLUTION:
                 raise ValueError(f"step must be >= the {RANGE_RESOLUTION:g} range resolution")
+            # The loop takes about this many steps plus one, and at most 11 more
+            # up to the 1e-9 tolerance, so it is bounded before it starts.
+            steps = (stop - start) / step
+            if steps > MAX_RANGE_VALUES:
+                raise ValueError(f"{steps + 1:.0f} values, more than the {MAX_RANGE_VALUES} allowed")
             values: list[float] = []
             i = 0
             while (v := round(start + i * step, 10)) <= stop + 1e-9:
                 if not values or min(v, stop) > values[-1]:
                     values.append(min(v, stop))
                 i += 1
+            if len(values) > MAX_RANGE_VALUES:
+                raise ValueError(f"{len(values)} values, more than the {MAX_RANGE_VALUES} allowed")
             return tuple(values)
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:

@@ -390,6 +390,7 @@ def run_baseline_delta(
     """
     if method not in ("projection", "rbr"):
         raise ValidationError(f"method must be 'projection' or 'rbr', got {method!r}")
+    rbr_betas: dict[tuple[int, int], float] = {}  # (seed, k) -> beta_baseline
 
     def delta_record(cell: _Cell) -> BaselineDeltaRecord:
         ctx = cell.ctx
@@ -405,12 +406,17 @@ def run_baseline_delta(
                     cell.accuracy,
                     cell.k,
                 )
+            beta_baseline = beta(mae(refined, ctx.test.y), ctx.mae_reg)
         else:
-            refined = rbr_refine(
-                ctx.test.features, ctx.reg.value, ctx.train, ctx.train_values, cell.k
-            )
+            # rbr ignores comparisons, so each (seed, k) refines once for all accuracies.
+            key = (ctx.seed_index, cell.k)
+            if key not in rbr_betas:
+                refined = rbr_refine(
+                    ctx.test.features, ctx.reg.value, ctx.train, ctx.train_values, cell.k
+                )
+                rbr_betas[key] = beta(mae(refined, ctx.test.y), ctx.mae_reg)
+            beta_baseline = rbr_betas[key]
         beta_fused = _sweep_record(cell, dataset.name, grid.clamp_c).beta
-        beta_baseline = beta(mae(refined, ctx.test.y), ctx.mae_reg)
         return BaselineDeltaRecord(
             dataset=dataset.name,
             seed=ctx.seed_index,

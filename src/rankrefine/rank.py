@@ -7,6 +7,9 @@ The negative log-likelihood is strictly convex in the candidate value, so
 the estimate is the unique root of its monotone derivative, and the local
 curvature (Fisher information) supplies a variance for the estimate.
 
+The derivative's sigmoids are taken as sigmoid(x) = (1 + tanh(x / 2)) / 2,
+so one tanh per label gives the whole derivative and nothing overflows.
+
 The root is found by bisection, stepping exactly as a loop that evaluates one
 midpoint per step, but evaluating many points per vectorised call: first the
 domain edges (for the clamp tests) and every midpoint the first ``_LEVELS``
@@ -25,7 +28,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import ComparisonSet
 from .errors import NumericError, ValidationError
@@ -92,14 +94,16 @@ def bt_nll(candidate: float, comparisons: ComparisonSet) -> float:
 
 def _nll_derivatives(candidates: list[float], comparisons: ComparisonSet) -> list[float]:
     # d/dy of bt_nll at each candidate; strictly increasing in the candidate,
-    # so the NLL is strictly convex and has a unique minimizer. Each side's row
-    # sums run along contiguous rows in np.sum's pairwise order, so every value
-    # is bit-identical to evaluating that candidate alone (one matrix of both
-    # sides summed by column slices is not).
-    c = np.array(candidates)[:, None]
-    above = np.add.reduce(expit(c - comparisons.above_labels), axis=1)
-    below = np.add.reduce(expit(comparisons.below_labels - c), axis=1)
-    return (above - below).tolist()
+    # so the NLL is strictly convex and has a unique minimizer. With
+    # sigmoid(x) = (1 + tanh(x / 2)) / 2 and tanh odd, the above side's sum of
+    # sigmoid(y - label) minus the below side's sum of sigmoid(label - y) is
+    # ((n_above - n_below) + sum over all labels of tanh((y - label) / 2)) / 2.
+    # Each row sum runs along one contiguous row in np.sum's pairwise order, so
+    # every value is bit-identical to evaluating that candidate alone.
+    gaps = np.array(candidates)[:, None] - comparisons.all_labels()
+    sums = np.add.reduce(np.tanh(gaps * 0.5), axis=1)
+    n_diff = comparisons.above_labels.size - comparisons.below_labels.size
+    return ((sums + n_diff) * 0.5).tolist()
 
 
 def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
@@ -229,10 +233,10 @@ def fisher_variance(solution: float, comparisons: ComparisonSet) -> float:
     _require_nonempty(comparisons)
     if not math.isfinite(solution):
         raise ValidationError(f"solution must be finite, got {solution!r}")
-    gaps = solution - comparisons.all_labels()
-    # sigmoid(d) * (1 - sigmoid(d)) == sigmoid(d) * sigmoid(-d), computed
-    # without cancellation.
-    information = float(np.add.reduce(expit(gaps) * expit(-gaps)))
+    # sigmoid(d) * (1 - sigmoid(d)) == e / (1 + e)**2 with e = exp(-|d|), which
+    # neither cancels nor overflows.
+    e = np.exp(-np.abs(solution - comparisons.all_labels()))
+    information = float(np.add.reduce(e / (1.0 + e) ** 2))
     if information < CURVATURE_UNDERFLOW:
         logger.warning(
             "fisher information underflowed (all %d comparison gaps saturated); "

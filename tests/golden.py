@@ -126,9 +126,8 @@ def describe_difference(file: str, expected: bytes, actual: bytes) -> str | None
 
 
 def provenance() -> str:
-    """The commit and library versions the current checkout produces outputs with."""
+    """The commit and numpy version the current checkout produces outputs with."""
     import numpy
-    import scipy
 
     def git(*args: str) -> str:
         try:
@@ -144,7 +143,6 @@ def provenance() -> str:
         f"commit {commit}\n"
         f"python {sys.version.split()[0]}\n"
         f"numpy {numpy.__version__}\n"
-        f"scipy {scipy.__version__}\n"
     )
 
 

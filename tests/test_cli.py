@@ -76,6 +76,19 @@ class TestArgParsing:
         assert values[-1] == 1e-8
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_range_at_the_cap_parses(self):
+        values = _parse_float_list("0:1e-5:0.99999", "x")
+        assert len(values) == cli.MAX_RANGE_VALUES == 100_000
+        assert values[-1] == 0.99999
+
+    @pytest.mark.parametrize(
+        "text, count", [("0:1e-5:1", "100001"), ("0:1e-10:1", "10000000001")]
+    )
+    def test_range_past_the_cap_is_refused(self, text, count):
+        # The second once built its 1e10 values and never returned.
+        with pytest.raises(ValidationError, match=f": {count} values, more than the 100000"):
+            _parse_float_list(text, "x")
+
     @pytest.mark.parametrize("text", ["0:4e-11:1e-8", "0:1e-300:1", "0.5:1e-13:1.0"])
     def test_float_list_rejects_sub_resolution_step(self, text):
         # Values round to 10 decimals, so a finer step repeats them or never ends.
@@ -112,6 +125,12 @@ class TestArgParsing:
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 2
         assert "range resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_range_past_the_cap_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        assert main(["noise", "--bs", "0:1e-10:1", "--out", str(out)]) == 2
+        assert "10000000001 values" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_range_flag_is_usage_error(self, tmp_path, capsys):
@@ -750,6 +769,16 @@ class TestEntryPoint:
     def test_start_up_does_not_import_requests(self):
         # Only the HTTP transport needs requests, so no command pays for it.
         code = "import sys, rankrefine.cli; print('requests' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=_checkout_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+    def test_start_up_does_not_import_scipy(self):
+        # The solver's sigmoids are numpy's own; scipy is only a test dependency.
+        code = "import sys, rankrefine.cli; print('scipy' in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env=_checkout_env(),

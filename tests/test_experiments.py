@@ -215,6 +215,20 @@ class TestBaselineDelta:
         # One rbr beta per (seed, k), whatever the oracle accuracy.
         assert all(len(v) == 1 for v in by_seed_k.values())
 
+    def test_rbr_refines_once_per_seed_and_k(self, monkeypatch):
+        calls = []
+        refine = experiments.rbr_refine
+
+        def counting(*args):
+            calls.append(args[-1])
+            return refine(*args)
+
+        monkeypatch.setattr(experiments, "rbr_refine", counting)
+        grid = replace(FAST_GRID, accuracies=(0.6, 0.75, 0.9))
+        recs = run_baseline_delta(_fast_dataset(), grid, method="rbr", n_trees=FAST_TREES)
+        assert len(recs) == grid.seeds * len(grid.accuracies) * len(grid.ks)
+        assert sorted(calls) == sorted(grid.ks * grid.seeds)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             run_baseline_delta(

@@ -2,6 +2,7 @@
 and bit-identity with the one-step-at-a-time bisection it replaced."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,15 @@ def _reference_nll_derivative(candidate, comparisons):
     below = expit(comparisons.below_labels - candidate)
     above = expit(candidate - comparisons.above_labels)
     return float(np.sum(above) - np.sum(below))
+
+
+def _reference_fisher_variance(solution, comparisons):
+    """Inverse Fisher information from scipy's sigmoid, as ``fisher_variance`` once took it."""
+    gaps = solution - comparisons.all_labels()
+    information = float(np.add.reduce(expit(gaps) * expit(-gaps)))
+    if information < rank.CURVATURE_UNDERFLOW:
+        return rank.VARIANCE_CAP
+    return min(1.0 / information, rank.VARIANCE_CAP)
 
 
 def _reference_solve_rank_estimate(comparisons):
@@ -384,6 +394,34 @@ class TestFisherVariance:
         assert est.variance == pytest.approx(
             fisher_variance(est.value, cs), rel=1e-9
         )
+
+    def test_within_four_ulp_of_the_scipy_sigmoid(self):
+        worst = {}
+        for name, sets in (
+            ("fuzzed", _fuzzed_sets(2400)),
+            ("refine-shaped", _refine_shaped_sets(1000)),
+        ):
+            ulps = []
+            for cs in sets:
+                value = solve_rank_estimate(cs).value
+                want = _reference_fisher_variance(value, cs)
+                ulps.append(abs(fisher_variance(value, cs) - want) / np.spacing(want))
+            worst[name] = max(ulps)
+        assert max(worst.values()) <= 4.0, worst
+
+    def test_no_floating_point_warnings_past_exp_overflow(self):
+        # Gaps up to 4000 reach far past 710, where exp(|gap|) overflows.
+        rng = np.random.default_rng(18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 7, 40):
+                labels = rng.uniform(-2000.0, 2000.0, size=n)
+                split = int(rng.integers(0, n + 1))
+                cs = ComparisonSet(labels[:split], labels[split:])
+                est = solve_rank_estimate(cs)
+                for point in (est.value, *search_domain(cs), 0.0):
+                    fisher_variance(point, cs)
+            assert fisher_variance(0.0, ComparisonSet([-2000.0], [2000.0])) == rank.VARIANCE_CAP
 
     def test_estimate_is_plain_record(self):
         est = RankEstimate(1.0, 2.0, False)
