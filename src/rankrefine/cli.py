@@ -76,7 +76,7 @@ REFINE_HEADER = (
 )
 
 RANGE_RESOLUTION = 1e-10  # range values are rounded to 10 decimals
-MAX_RANGE_VALUES = 100_000  # a longer range is refused before any value is built
+MAX_RANGE_VALUES = 100_000  # a longer range is a usage error, not a list to build
 
 
 def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
