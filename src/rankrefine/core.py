@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -85,24 +85,31 @@ class ComparisonOutcome(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ComparisonSet:
-    """A query's comparisons as the solver reads them: two arrays of labels.
+    """A query's comparisons as the solver reads them: one row of labels.
 
-    ``below_labels`` holds the labels of references the query was ranked
-    above (so they sit below the query); ``above_labels`` the labels of
-    references ranked above the query. Ids stay with the outcomes at the
-    edges. An empty set is legal and simply carries no ranking evidence.
+    ``labels`` is that row, built once and read-only: first the labels of
+    references the query was ranked above (so they sit below the query),
+    then those of references ranked above it. ``below_labels`` and
+    ``above_labels`` are views of its two parts. Ids stay with the outcomes
+    at the edges. An empty set is legal and carries no ranking evidence.
     """
 
     below_labels: np.ndarray
     above_labels: np.ndarray
+    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("below_labels", "above_labels"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise ValidationError(f"{name} must be 1-d, got shape {arr.shape}")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        n_below = self.below_labels.size
+        labels = np.concatenate([self.below_labels, self.above_labels])
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "below_labels", labels[:n_below])
+        object.__setattr__(self, "above_labels", labels[n_below:])
 
     @classmethod
     def from_outcomes(
@@ -132,14 +139,11 @@ class ComparisonSet:
         return cls(np.array(below, dtype=float), np.array(above, dtype=float))
 
     def __len__(self) -> int:
-        return self.below_labels.size + self.above_labels.size
+        return self.labels.size
 
     @property
     def is_empty(self) -> bool:
         return len(self) == 0
-
-    def all_labels(self) -> np.ndarray:
-        return np.concatenate([self.below_labels, self.above_labels])
 
 
 @dataclass(frozen=True, eq=False)

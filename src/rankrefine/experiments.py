@@ -159,7 +159,9 @@ class SweepGrid:
             raise ValidationError("at least one accuracy is required")
         for a in self.accuracies:
             check_accuracy(a)
-        if not self.ks or any(k < 1 for k in self.ks):
+        if not self.ks:
+            raise ValidationError("at least one k is required")
+        if any(k < 1 for k in self.ks):
             raise ValidationError("every k must be >= 1")
         if self.seeds < 1:
             raise ValidationError(f"seeds must be >= 1, got {self.seeds}")

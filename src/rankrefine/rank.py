@@ -11,13 +11,13 @@ The derivative's sigmoids are taken as sigmoid(x) = (1 + tanh(x / 2)) / 2,
 so one tanh per label gives the whole derivative and nothing overflows.
 
 The root is found by bisection, stepping exactly as a loop that evaluates one
-midpoint per step, but evaluating many points per vectorised call: first the
-domain edges (for the clamp tests) and every midpoint the first ``_LEVELS``
-steps could visit, then the ``_PATH`` midpoints of the path the bisection
-would take if the root were where regula falsi puts it. A call is needed again
-only after a wrong guess, and is a full round when a guess went wrong early.
-The prediction picks which points are evaluated but never a step, so the
-estimates are the loop's to the bit.
+midpoint per step, but each vectorised derivative call evaluates a predicted
+path: the next ``_PATH`` midpoints if the root were at a guessed point. The
+first call adds the domain edges (for the clamp tests) and guesses between the
+``n_below``-th smallest label and the next, where consistent comparisons put
+the query; each later call guesses the regula-falsi root of the bracket. A
+call is needed again only after a step goes against its guess, so the guess
+picks which points are evaluated but never a step: the estimates are the loop's.
 """
 
 from __future__ import annotations
@@ -42,13 +42,9 @@ VARIANCE_CAP = 1e12
 # after MAX_ITERATIONS bisection steps.
 TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
-# Bisection levels of a full round, evaluated by the first derivative call and
-# by any call after a path that went wrong sooner; on the benchmark's sweep
-# and refine sets 3 and 4 solve equally fast and 5 is slower.
-_LEVELS = 4
-# Midpoints of a predicted path per later call; 10 to 16 solve the benchmark's
-# sets about equally fast, and longer paths cost more to simulate than they save.
-_PATH = 12
+# Midpoints of a predicted path per derivative call; where saturated sigmoids
+# make regula falsi creep, shorter paths need markedly more calls.
+_PATH = 20
 # The search domain is the label range widened by DOMAIN_MARGIN times its
 # width (a width of 1 is used when all labels coincide), so the estimate can
 # land outside the observed labels but not arbitrarily far. Its ends must lie
@@ -100,7 +96,7 @@ def _nll_derivatives(candidates: list[float], comparisons: ComparisonSet) -> lis
     # ((n_above - n_below) + sum over all labels of tanh((y - label) / 2)) / 2.
     # Each row sum runs along one contiguous row in np.sum's pairwise order, so
     # every value is bit-identical to evaluating that candidate alone.
-    gaps = np.array(candidates)[:, None] - comparisons.all_labels()
+    gaps = np.array(candidates)[:, None] - comparisons.labels
     sums = np.add.reduce(np.tanh(gaps * 0.5), axis=1)
     n_diff = comparisons.above_labels.size - comparisons.below_labels.size
     return ((sums + n_diff) * 0.5).tolist()
@@ -113,7 +109,7 @@ def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
     float64 maximum (labels near the limit, or NaN), since a bisection
     midpoint ``0.5 * (lo + hi)`` inside it could overflow.
     """
-    labels = comparisons.all_labels()
+    labels = comparisons.labels
     lo_label = float(np.minimum.reduce(labels))
     hi_label = float(np.maximum.reduce(labels))
     width = hi_label - lo_label
@@ -135,16 +131,16 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
     Bisection on the monotone derivative, run until the derivative magnitude
     falls below ``TOLERANCE``, the bracket collapses to adjacent doubles, or
     ``MAX_ITERATIONS`` steps have run (logged as a warning). Each derivative
-    call evaluates a round of midpoints or a predicted path (see the module
-    docstring); the steps taken and the value returned are those of plain
-    bisection. When every comparison points one way the minimum sits at a
-    domain boundary and the estimate is returned with ``clamped=True``.
+    call evaluates one predicted path (see the module docstring); the steps
+    taken and the value returned are those of plain bisection. When every
+    comparison points one way the minimum sits at a domain boundary and the
+    estimate is returned with ``clamped=True``.
     """
     _require_nonempty(comparisons)
     lo, hi = search_domain(comparisons)
-    points = [lo, hi, *_round_midpoints(lo, hi, min(_LEVELS, MAX_ITERATIONS))]
-    known = dict(zip(points, _nll_derivatives(points, comparisons)))
-    d_lo, d_hi = known[lo], known[hi]
+    guess = _order_statistic_guess(comparisons)
+    path = _predicted_path(lo, hi, guess, min(_PATH, MAX_ITERATIONS))
+    d_lo, d_hi, *derivatives = _nll_derivatives([lo, hi, *path], comparisons)
 
     if d_lo >= 0.0:
         # NLL is nondecreasing on the whole domain: minimum at the left edge.
@@ -154,7 +150,7 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
         value = hi
         clamped = d_hi < -TOLERANCE
     else:
-        value = _bisect(lo, hi, known, comparisons)
+        value = _bisect(lo, hi, d_lo, d_hi, guess, path, derivatives, comparisons)
         clamped = False
 
     return RankEstimate(
@@ -162,13 +158,25 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
     )
 
 
-def _bisect(lo: float, hi: float, known: dict, comparisons: ComparisonSet) -> float:
-    # The scalar bisection loop. ``known`` maps each point evaluated so far to
-    # its derivative; a call is made only when the next midpoint is missing,
-    # for a full round if the last call advanced fewer than ``_LEVELS`` steps
-    # and for the predicted path otherwise.
-    steps = called_at = 0
+def _bisect(
+    lo: float, hi: float, d_lo: float, d_hi: float, guess: float,
+    path: list[float], derivatives: list[float], comparisons: ComparisonSet,
+) -> float:
+    # The scalar bisection loop, fed from predicted paths. Each path starts at
+    # the midpoint of the bracket it was predicted from, and its next point is
+    # the next midpoint as long as each step goes the way the guess put it.
+    steps = 0
     while True:
+        for value, d in zip(path, derivatives):
+            steps += 1
+            if abs(d) <= TOLERANCE:
+                return value
+            if d < 0.0:
+                lo, d_lo = value, d
+            else:
+                hi, d_hi = value, d
+            if (d < 0.0) != (value < guess):
+                break
         value = 0.5 * (lo + hi)
         if value == lo or value == hi:
             # Bracket has collapsed to adjacent doubles.
@@ -176,35 +184,21 @@ def _bisect(lo: float, hi: float, known: dict, comparisons: ComparisonSet) -> fl
         if steps == MAX_ITERATIONS:
             logger.warning("bisection hit the %d-step cap; final bracket [%r, %r]", steps, lo, hi)
             return value
-        if value not in known:
-            left = MAX_ITERATIONS - steps
-            if steps - called_at < _LEVELS:
-                points = _round_midpoints(lo, hi, min(_LEVELS, left))
-            else:
-                root = _predict_root(lo, hi, known[lo], known[hi])
-                points = _predicted_path(lo, hi, root, min(_PATH, left))
-            called_at = steps
-            known.update(zip(points, _nll_derivatives(points, comparisons)))
-        d = known[value]
-        steps += 1
-        if abs(d) <= TOLERANCE:
-            return value
-        lo, hi = (value, hi) if d < 0.0 else (lo, value)
+        guess = _predict_root(lo, hi, d_lo, d_hi)
+        path = _predicted_path(lo, hi, guess, min(_PATH, MAX_ITERATIONS - steps))
+        derivatives = _nll_derivatives(path, comparisons)
 
 
-def _round_midpoints(lo: float, hi: float, levels: int) -> list[float]:
-    # Every midpoint the next ``levels`` steps from (lo, hi) could visit.
-    mids, brackets = [], [(lo, hi)]
-    for a, b in brackets:
-        mids.append(0.5 * (a + b))
-        if len(brackets) < 2**levels - 1:
-            brackets += ((mids[-1], b), (a, mids[-1]))
-    return mids
+def _order_statistic_guess(comparisons: ComparisonSet) -> float:
+    # Where a query whose comparisons all agree sits: between the n_below-th
+    # smallest label and the next, or at the end label when a side is empty.
+    ordered = np.sort(comparisons.labels)
+    n_below = comparisons.below_labels.size
+    return 0.5 * float(ordered[max(n_below - 1, 0)] + ordered[min(n_below, ordered.size - 1)])
 
 
 def _predict_root(lo: float, hi: float, d_lo: float, d_hi: float) -> float:
-    # Regula falsi, weighted so no difference can overflow. Points evaluated
-    # off the walk lie outside (lo, hi), so it is the tightest bracket known.
+    # Regula falsi, weighted so no difference can overflow.
     w = d_lo / (d_lo - d_hi)
     return (1.0 - w) * lo + w * hi
 
@@ -235,7 +229,7 @@ def fisher_variance(solution: float, comparisons: ComparisonSet) -> float:
         raise ValidationError(f"solution must be finite, got {solution!r}")
     # sigmoid(d) * (1 - sigmoid(d)) == e / (1 + e)**2 with e = exp(-|d|), which
     # neither cancels nor overflows.
-    e = np.exp(-np.abs(solution - comparisons.all_labels()))
+    e = np.exp(-np.abs(solution - comparisons.labels))
     information = float(np.add.reduce(e / (1.0 + e) ** 2))
     if information < CURVATURE_UNDERFLOW:
         logger.warning(

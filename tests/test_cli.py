@@ -139,6 +139,12 @@ class TestArgParsing:
         assert "need finite values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_k_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--ks", ",", "--out", str(out)]) == 2
+        assert "at least one k is required" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_list(self):
         assert _parse_int_list("10,20,30", "k") == (10, 20, 30)
         with pytest.raises(ValidationError):

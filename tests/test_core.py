@@ -73,7 +73,7 @@ class TestComparisonSet:
         np.testing.assert_array_equal(cs.below_labels, [1.0])
         np.testing.assert_array_equal(sorted(cs.above_labels), [2.0, 3.0])
         assert not cs.is_empty
-        assert sorted(cs.all_labels()) == [1.0, 2.0, 3.0]
+        assert sorted(cs.labels) == [1.0, 2.0, 3.0]
 
     def test_duplicate_pair_rejected(self):
         outcomes = [
