@@ -299,7 +299,6 @@ class TestPredictedPath:
             "random": lambda lo, hi: float(rng.uniform(lo, hi)),
         }
         predicted = dict.fromkeys(guesses, 0)
-
         first = dict.fromkeys(guesses, 0)
 
         def predict_root(lo, hi, d_lo, d_hi):
