@@ -178,7 +178,8 @@ def _dataset_from_args(args: argparse.Namespace) -> Dataset:
     )
 
 
-def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
+def _add_protocol_options(parser: argparse.ArgumentParser) -> None:
+    # The dataset and re-split flags that sweep, baseline and noise share.
     parser.add_argument(
         "--dataset",
         default=None,
@@ -191,6 +192,10 @@ def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
         "--synthetic-noise-sd", type=float, default=2.2, help="synthetic label noise"
     )
     parser.add_argument("--synthetic-seed", type=int, default=7, help="synthetic data seed")
+    parser.add_argument("--seeds", type=int, default=5, help="number of re-split seeds")
+    parser.add_argument("--train-size", type=int, default=50, help="training rows per split")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--out", required=True, help="output CSV path")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--k",
         type=int,
         default=20,
-        help="references compared per query (llm: 0 means every reference)",
+        help="references compared per query (llm: 0 means every reference; "
+        "interactive asks every reference and reads neither --k nor --seed)",
     )
     p.add_argument("--seed", type=int, default=0, help="sampling / oracle seed")
     p.add_argument("--accuracy", type=float, default=0.8, help="oracle accuracy")
@@ -501,20 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the oracle-ranker sweep over (seed, accuracy, k)",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    _add_dataset_options(p)
+    _add_protocol_options(p)
     p.add_argument(
         "--accuracies",
         default="0.50:0.05:1.00",
         help="comma list or start:step:stop range of oracle accuracies",
     )
     p.add_argument("--ks", default="10,20,30", help="comma list of comparison counts")
-    p.add_argument("--seeds", type=int, default=5, help="number of re-split seeds")
-    p.add_argument("--train-size", type=int, default=50, help="training rows per split")
     p.add_argument(
         "--clamp-c", type=float, default=0.0, help="rank-variance clamp factor (0 disables)"
     )
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -522,17 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare fusion against projection or neighbor smoothing",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    _add_dataset_options(p)
+    _add_protocol_options(p)
     p.add_argument("--method", required=True, choices=("projection", "rbr"))
     p.add_argument("--accuracies", default="0.50:0.05:1.00", help="oracle accuracies")
     p.add_argument("--k", type=int, default=30, help="comparisons per query")
-    p.add_argument("--seeds", type=int, default=5, help="number of re-split seeds")
-    p.add_argument("--train-size", type=int, default=50, help="training rows per split")
     p.add_argument(
         "--clamp-c", type=float, default=0.0, help="rank-variance clamp factor (0 disables)"
     )
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser(
@@ -540,14 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="perturb rank variances and measure the effect on beta",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    _add_dataset_options(p)
+    _add_protocol_options(p)
     p.add_argument("--bs", default="0,1,2,3,5,10", help="perturbation half-widths")
     p.add_argument("--k", type=int, default=30, help="comparisons per query")
     p.add_argument("--accuracy", type=float, default=0.8, help="oracle accuracy")
-    p.add_argument("--seeds", type=int, default=5, help="number of re-split seeds")
-    p.add_argument("--train-size", type=int, default=50, help="training rows per split")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -87,29 +87,32 @@ class ComparisonOutcome(NamedTuple):
 class ComparisonSet:
     """A query's comparisons as the solver reads them: one row of labels.
 
-    ``labels`` is that row, built once and read-only: first the labels of
-    references the query was ranked above (so they sit below the query),
-    then those of references ranked above it. ``below_labels`` and
+    ``labels`` is that row, a private read-only copy: first the ``n_below``
+    labels of references the query was ranked above (so they sit below the
+    query), then those of references ranked above it. ``below_labels`` and
     ``above_labels`` are views of its two parts. Ids stay with the outcomes
     at the edges. An empty set is legal and carries no ranking evidence.
     """
 
-    below_labels: np.ndarray
-    above_labels: np.ndarray
-    labels: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray
+    n_below: int
 
     def __post_init__(self) -> None:
-        for name in ("below_labels", "above_labels"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValidationError(f"{name} must be 1-d, got shape {arr.shape}")
-            object.__setattr__(self, name, arr)
-        n_below = self.below_labels.size
-        labels = np.concatenate([self.below_labels, self.above_labels])
+        labels = np.array(self.labels, dtype=float)
+        if labels.ndim != 1:
+            raise ValidationError(f"labels must be 1-d, got shape {labels.shape}")
+        if not 0 <= self.n_below <= labels.size:
+            raise ValidationError(f"n_below must lie in [0, {labels.size}], got {self.n_below!r}")
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "below_labels", labels[:n_below])
-        object.__setattr__(self, "above_labels", labels[n_below:])
+
+    @property
+    def below_labels(self) -> np.ndarray:
+        return self.labels[: self.n_below]
+
+    @property
+    def above_labels(self) -> np.ndarray:
+        return self.labels[self.n_below :]
 
     @classmethod
     def from_outcomes(
@@ -136,14 +139,10 @@ class ComparisonSet:
             if not math.isfinite(label):
                 raise DataError(f"reference {ref_id!r} has non-finite label")
             (below if query_above else above).append(label)
-        return cls(np.array(below, dtype=float), np.array(above, dtype=float))
+        return cls(below + above, len(below))
 
     def __len__(self) -> int:
         return self.labels.size
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
 
 
 @dataclass(frozen=True, eq=False)

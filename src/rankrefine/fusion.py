@@ -58,13 +58,15 @@ def fuse(reg: Estimate, rank: Estimate) -> FusedEstimate:
     _check_variance(rank.variance, "rank")
     if not (np.all(np.isfinite(reg.value)) and np.all(np.isfinite(rank.value))):
         raise ValidationError("estimate values must be finite")
-    precision_reg = 1.0 / reg.variance
-    precision_rank = 1.0 / rank.variance
-    total = precision_reg + precision_rank
-    if not (np.all(np.isfinite(total)) and np.all(total > 0.0)):
-        raise NumericError(
-            f"cannot fuse variances {reg.variance!r} and {rank.variance!r}"
-        )
+    with np.errstate(over="ignore"):  # a tiny variance's precision overflows; named below
+        precision_reg = 1.0 / reg.variance
+        precision_rank = 1.0 / rank.variance
+        total = precision_reg + precision_rank
+    ok = np.isfinite(total) & (total > 0.0)
+    if not np.all(ok):
+        at = np.argmin(np.ravel(ok))
+        pair = [float(np.ravel(v)[at]) for v in np.broadcast_arrays(reg.variance, rank.variance)]
+        raise NumericError("cannot fuse variances {!r} and {!r}".format(*pair))
     weight_reg = precision_reg / total
     weight_rank = precision_rank / total
     value = weight_reg * reg.value + weight_rank * rank.value

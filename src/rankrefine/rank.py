@@ -68,7 +68,7 @@ class RankEstimate:
 
 
 def _require_nonempty(comparisons: ComparisonSet) -> None:
-    if comparisons.is_empty:
+    if not len(comparisons):
         raise ValidationError("at least one comparison is required")
 
 
@@ -98,7 +98,7 @@ def _nll_derivatives(candidates: list[float], comparisons: ComparisonSet) -> lis
     # every value is bit-identical to evaluating that candidate alone.
     gaps = np.array(candidates)[:, None] - comparisons.labels
     sums = np.add.reduce(np.tanh(gaps * 0.5), axis=1)
-    n_diff = comparisons.above_labels.size - comparisons.below_labels.size
+    n_diff = comparisons.labels.size - 2 * comparisons.n_below
     return ((sums + n_diff) * 0.5).tolist()
 
 
@@ -193,7 +193,7 @@ def _order_statistic_guess(comparisons: ComparisonSet) -> float:
     # Where a query whose comparisons all agree sits: between the n_below-th
     # smallest label and the next, or at the end label when a side is empty.
     ordered = np.sort(comparisons.labels)
-    n_below = comparisons.below_labels.size
+    n_below = comparisons.n_below
     return 0.5 * float(ordered[max(n_below - 1, 0)] + ordered[min(n_below, ordered.size - 1)])
 
 

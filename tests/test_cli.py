@@ -278,6 +278,30 @@ class TestRefine:
         assert "label range" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_precision_is_one_line_numeric_error(self, tmp_path):
+        # 1 / 1e-320 overflows float64. The run must say so in one line naming
+        # that row's two variances, with no numpy warning and no array dump.
+        predictions = _write(
+            tmp_path / "pred.csv", "id,y_reg,var_reg\np1,0.0,1e-320\np2,0.0,1.0\n"
+        )
+        references = _write(tmp_path / "refs.csv", "id,y\nr1,1.0\n")
+        comparisons = _write(tmp_path / "comp.csv", "query_id,ref_id,outcome\np1,r1,0\np2,r1,1\n")
+        out = tmp_path / "refined.csv"
+        argv = [
+            "refine", "--predictions", predictions, "--references", references,
+            "--comparisons", comparisons, "--out", str(out),
+        ]
+        code = "import sys; from rankrefine.cli import main; sys.exit(main(sys.argv[1:]))"
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60,
+            env=_checkout_env(),
+        )
+        assert result.returncode == 4, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and "cannot fuse variances 1e-320 and " in lines[0], lines
+        assert not out.exists()
+
     def test_id_with_a_comma_stays_one_cell(self, tmp_path, capsys):
         predictions = _write(tmp_path / "pred.csv", 'id,y_reg,var_reg\n"a,b",1.0,1.0\n')
         references = _write(tmp_path / "refs.csv", "id,y\nr1,0.0\n")

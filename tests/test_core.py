@@ -72,7 +72,7 @@ class TestComparisonSet:
         # query_above=True puts the reference label below the query.
         np.testing.assert_array_equal(cs.below_labels, [1.0])
         np.testing.assert_array_equal(sorted(cs.above_labels), [2.0, 3.0])
-        assert not cs.is_empty
+        assert len(cs)
         assert sorted(cs.labels) == [1.0, 2.0, 3.0]
 
     def test_duplicate_pair_rejected(self):
@@ -91,7 +91,7 @@ class TestComparisonSet:
 
     def test_empty_set_is_empty(self):
         cs = ComparisonSet.from_outcomes([], self.LABELS)
-        assert cs.is_empty
+        assert not len(cs)
         assert cs.below_labels.size == 0 and cs.above_labels.size == 0
 
     def test_plain_triples_partition_like_outcomes(self):
@@ -99,9 +99,37 @@ class TestComparisonSet:
         outcomes = [ComparisonOutcome(*triple) for triple in triples]
         from_outcomes = ComparisonSet.from_outcomes(outcomes, self.LABELS)
         from_triples = ComparisonSet.from_outcomes(iter(triples), self.LABELS)
-        for name in ("below_labels", "above_labels"):
+        for name in ("labels", "below_labels", "above_labels"):
             a, b = getattr(from_outcomes, name), getattr(from_triples, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert from_outcomes.n_below == from_triples.n_below == 1
+
+    def test_row_is_read_only_and_shared_by_both_views(self):
+        cs = ComparisonSet([1.0, 2.0, 3.0], 1)
+        assert not cs.labels.flags.writeable
+        with pytest.raises(ValueError):
+            cs.labels[0] = 0.0
+        for view in (cs.below_labels, cs.above_labels):
+            assert not view.flags.writeable
+            assert np.shares_memory(view, cs.labels)
+        assert (cs.below_labels.tolist(), cs.above_labels.tolist()) == ([1.0], [2.0, 3.0])
+
+    def test_caller_row_is_copied(self):
+        row = np.array([1.0, 2.0, 3.0])
+        cs = ComparisonSet(row, 2)
+        assert row.flags.writeable
+        assert not np.shares_memory(row, cs.labels)
+        row[0] = 9.0
+        assert cs.labels.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "labels, n_below",
+        [([1.0, 2.0], -1), ([1.0, 2.0], 3), ([[1.0, 2.0]], 1)],
+        ids=["n_below -1", "n_below len + 1", "2-d row"],
+    )
+    def test_bad_row_or_split_rejected(self, labels, n_below):
+        with pytest.raises(ValidationError):
+            ComparisonSet(labels, n_below)
 
     @pytest.mark.parametrize(
         "triples, message",

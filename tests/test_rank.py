@@ -102,7 +102,7 @@ def _fuzzed_sets(count, seed=2026):
         centre = scale * rng.uniform(-3.0, 3.0)
         if len(sets) % 5 == 4:
             gaps = scale * np.abs(rng.normal(size=int(rng.choice(FUZZ_SIDE_SIZES[1:]))))
-            sets.append(ComparisonSet(centre - gaps, centre + gaps))
+            sets.append(ComparisonSet(np.concatenate([centre - gaps, centre + gaps]), gaps.size))
             continue
         n_below, n_above = (int(n) for n in rng.choice(FUZZ_SIDE_SIZES, size=2))
         if n_below + n_above == 0:
@@ -110,7 +110,7 @@ def _fuzzed_sets(count, seed=2026):
         labels = centre + scale * rng.normal(size=n_below + n_above)
         if rng.random() < 0.3:
             labels = np.round(labels / scale) * scale
-        sets.append(ComparisonSet(labels[:n_below], labels[n_below:]))
+        sets.append(ComparisonSet(labels, n_below))
     return sets
 
 
@@ -124,7 +124,8 @@ def _refine_shaped_sets(count, seed=15):
         truth = rng.normal(0.0, 2.5)
         chosen = references[rng.choice(500, size=int(rng.integers(1, 41)), replace=False)]
         judged_above = (truth > chosen) == (rng.random(chosen.size) < 0.8)
-        sets.append(ComparisonSet(chosen[judged_above], chosen[~judged_above]))
+        row = np.concatenate([chosen[judged_above], chosen[~judged_above]])
+        sets.append(ComparisonSet(row, int(judged_above.sum())))
     return sets
 
 
@@ -173,7 +174,7 @@ class TestNll:
 class TestSearchDomain:
     @pytest.mark.parametrize(
         "cs",
-        [ComparisonSet([-1e308], [1e308]), ComparisonSet([math.nan], [])],
+        [ComparisonSet([-1e308, 1e308], 1), ComparisonSet([math.nan], 1)],
         ids=["overflowing range", "nan label"],
     )
     def test_non_finite_domain_raises_numeric_error(self, cs):
@@ -185,13 +186,13 @@ class TestSearchDomain:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
     def test_overflowing_midpoint_raises_numeric_error(self, sign):
         # The domain (9.5e307, 1.1e308) is finite, but its midpoint sum is not.
-        cs = ComparisonSet([sign * 1.0e308], [sign * 1.05e308])
+        cs = ComparisonSet([sign * 1.0e308, sign * 1.05e308], 1)
         with pytest.raises(NumericError, match=r"label range \[-?1(\.05)?e\+308"):
             search_domain(cs)
         with pytest.raises(NumericError, match="label range"):
             solve_rank_estimate(cs)
         # A domain whose ends stay within half the float64 maximum still solves.
-        inside = solve_rank_estimate(ComparisonSet([0.0], [sign * 4.0e307]))
+        inside = solve_rank_estimate(ComparisonSet([0.0, sign * 4.0e307], 1))
         assert math.isfinite(inside.value) and not inside.clamped
 
     def test_widened_by_margin(self):
@@ -255,7 +256,7 @@ class TestSolver:
 
 
 class TestBitIdentity:
-    """The round-based solver returns exactly what the scalar loop returns."""
+    """The path-walking solver returns exactly what the scalar loop returns."""
 
     def test_fuzzed_sets_match_the_scalar_loop(self):
         reached = {"lo": 0, "hi": 0, "first midpoint": 0, "bisected": 0, "clamped": 0}
@@ -424,11 +425,11 @@ class TestFisherVariance:
             for n in (1, 2, 7, 40):
                 labels = rng.uniform(-2000.0, 2000.0, size=n)
                 split = int(rng.integers(0, n + 1))
-                cs = ComparisonSet(labels[:split], labels[split:])
+                cs = ComparisonSet(labels, split)
                 est = solve_rank_estimate(cs)
                 for point in (est.value, *search_domain(cs), 0.0):
                     fisher_variance(point, cs)
-            assert fisher_variance(0.0, ComparisonSet([-2000.0], [2000.0])) == rank.VARIANCE_CAP
+            assert fisher_variance(0.0, ComparisonSet([-2000.0, 2000.0], 1)) == rank.VARIANCE_CAP
 
     def test_estimate_is_plain_record(self):
         est = RankEstimate(1.0, 2.0, False)
