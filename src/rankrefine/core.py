@@ -101,8 +101,10 @@ class ComparisonSet:
         labels = np.array(self.labels, dtype=float)
         if labels.ndim != 1:
             raise ValidationError(f"labels must be 1-d, got shape {labels.shape}")
-        if not 0 <= self.n_below <= labels.size:
-            raise ValidationError(f"n_below must lie in [0, {labels.size}], got {self.n_below!r}")
+        if not (isinstance(self.n_below, (int, np.integer)) and 0 <= self.n_below <= labels.size):
+            raise ValidationError(
+                f"n_below must be an integer in [0, {labels.size}], got {self.n_below!r}"
+            )
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 

@@ -124,8 +124,8 @@ class TestComparisonSet:
 
     @pytest.mark.parametrize(
         "labels, n_below",
-        [([1.0, 2.0], -1), ([1.0, 2.0], 3), ([[1.0, 2.0]], 1)],
-        ids=["n_below -1", "n_below len + 1", "2-d row"],
+        [([1.0, 2.0], -1), ([1.0, 2.0], 3), ([1.0, 2.0], 1.5), ([[1.0, 2.0]], 1)],
+        ids=["n_below -1", "n_below len + 1", "n_below not an integer", "2-d row"],
     )
     def test_bad_row_or_split_rejected(self, labels, n_below):
         with pytest.raises(ValidationError):
