@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -74,6 +75,9 @@ REFINE_HEADER = (
     "var_fused",
     "clamped",
 )
+
+# The exit code of each error a command may raise; 0 is success.
+EXIT_CODES = {ValidationError: 2, DataError: 3, NumericError: 4, TransportError: 5}
 
 RANGE_RESOLUTION = 1e-10  # range values are rounded to 10 decimals
 MAX_RANGE_VALUES = 100_000  # a longer range is a usage error, not a list to build
@@ -195,7 +199,17 @@ def _add_protocol_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seeds", type=int, default=5, help="number of re-split seeds")
     parser.add_argument("--train-size", type=int, default=50, help="training rows per split")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--out", required=True, help="output CSV path")
+
+
+def _grid_from_args(args: argparse.Namespace, ks: tuple[int, ...] | None = None) -> SweepGrid:
+    # sweep passes no ks, so its --ks is parsed after --accuracies, as always.
+    return SweepGrid(
+        accuracies=_parse_float_list(args.accuracies, "accuracies"),
+        ks=_parse_int_list(args.ks, "ks") if ks is None else ks,
+        seeds=args.seeds,
+        train_size=args.train_size,
+        clamp_c=args.clamp_c,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +255,12 @@ def cmd_refine(args: argparse.Namespace) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> None:
-    needed = {
-        "oracle": ("queries", "references"),
-        "file": ("comparisons", "references"),
-        "interactive": ("queries", "references"),
-        "llm": ("queries", "references"),
-    }[args.source]
-    missing = [name for name in needed if getattr(args, name) is None]
+    required, handler = RANK_SOURCES[args.source]
+    missing = [name for name in required if getattr(args, name) is None]
     if missing:
         flags = ", ".join("--" + name for name in missing)
         raise ValidationError(f"--source {args.source} requires {flags}")
-    if args.source == "oracle":
-        _rank_oracle(args)
-    elif args.source == "file":
-        _rank_file(args)
-    elif args.source == "interactive":
-        _rank_interactive(args)
-    else:
-        _rank_llm(args)
+    handler(args)
 
 
 def _rank_oracle(args: argparse.Namespace) -> None:
@@ -367,15 +369,18 @@ def _rank_llm(args: argparse.Namespace) -> None:
             print(f"PRA against truth: {score:.4f} over {len(outcomes)} pairs")
 
 
+# --source name -> (the flags it requires, its handler), in --source's choice order.
+RANK_SOURCES = {
+    "oracle": (("queries", "references"), _rank_oracle),
+    "file": (("comparisons", "references"), _rank_file),
+    "interactive": (("queries", "references"), _rank_interactive),
+    "llm": (("queries", "references"), _rank_llm),
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> None:
     dataset = _dataset_from_args(args)
-    grid = SweepGrid(
-        accuracies=_parse_float_list(args.accuracies, "accuracies"),
-        ks=_parse_int_list(args.ks, "ks"),
-        seeds=args.seeds,
-        train_size=args.train_size,
-        clamp_c=args.clamp_c,
-    )
+    grid = _grid_from_args(args)
     records = run_oracle_sweep(dataset, grid, master_seed=args.seed)
     write_sweep_csv(records, args.out)
     print(f"wrote {len(records)} sweep records -> {args.out}")
@@ -383,13 +388,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 
 def cmd_baseline(args: argparse.Namespace) -> None:
     dataset = _dataset_from_args(args)
-    grid = SweepGrid(
-        accuracies=_parse_float_list(args.accuracies, "accuracies"),
-        ks=(args.k,),
-        seeds=args.seeds,
-        train_size=args.train_size,
-        clamp_c=args.clamp_c,
-    )
+    grid = _grid_from_args(args, (args.k,))
     records = run_baseline_delta(dataset, grid, args.method, master_seed=args.seed)
     write_baseline_csv(records, args.out)
     print(f"wrote {len(records)} baseline records -> {args.out}")
@@ -439,40 +438,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Refine regression predictions with pairwise-ranking evidence.",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress details")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "refine",
-        help="fuse regressor predictions with comparisons from files",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument("--predictions", required=True, help="CSV with id,y_reg,var_reg")
-    p.add_argument("--references", required=True, help="CSV with id,y for the references")
-    p.add_argument("--comparisons", required=True, help="CSV with query_id,ref_id,outcome")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument(
-        "--clamp-c",
-        type=float,
-        default=0.0,
-        help="clamp rank variance below at c * var_reg (0 disables)",
-    )
-    p.set_defaults(func=cmd_refine)
-
-    p = sub.add_parser(
-        "rank",
-        help="generate a comparisons CSV from a ranker source",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument(
-        "--source",
+    # Every subcommand's --help shows the defaults.
+    command = parser.add_subparsers(
+        dest="command",
         required=True,
-        choices=("oracle", "file", "interactive", "llm"),
-        help="where comparisons come from",
+        parser_class=partial(
+            argparse.ArgumentParser, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        ),
+    ).add_parser
+
+    def out(p: argparse.ArgumentParser, func) -> None:
+        # Every subcommand writes one file, named by its required --out.
+        p.add_argument("--out", required=True, help="output CSV path")
+        p.set_defaults(func=func)
+
+    refine = command("refine", help="fuse regressor predictions with comparisons from files")
+    refine.add_argument("--predictions", required=True, help="CSV with id,y_reg,var_reg")
+    refine.add_argument("--references", required=True, help="CSV with id,y for the references")
+    refine.add_argument("--comparisons", required=True, help="CSV with query_id,ref_id,outcome")
+    out(refine, cmd_refine)
+
+    p = command("rank", help="generate a comparisons CSV from a ranker source")
+    p.add_argument(
+        "--source", required=True, choices=tuple(RANK_SOURCES), help="where comparisons come from"
     )
     p.add_argument("--queries", help="CSV of queries (id column; text/y as the source needs)")
     p.add_argument("--references", help="CSV of references (id,y; text for llm/interactive)")
     p.add_argument("--comparisons", help="existing comparisons CSV (file source)")
-    p.add_argument("--out", required=True, help="output comparisons CSV")
+    out(p, cmd_rank)
     p.add_argument(
         "--k",
         type=int,
@@ -500,77 +493,50 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file of recorded responses; answers come from it instead of the network (llm)",
     )
     p.add_argument("--truth", default=None, help="CSV with id,y to score PRA against (llm)")
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser(
-        "sweep",
-        help="run the oracle-ranker sweep over (seed, accuracy, k)",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    # The protocols list the dataset and re-split options, then --out, then their own.
+    sweep = command("sweep", help="run the oracle-ranker sweep over (seed, accuracy, k)")
+    baseline = command(
+        "baseline", help="compare fusion against projection or neighbor smoothing"
     )
-    _add_protocol_options(p)
-    p.add_argument(
-        "--accuracies",
-        default="0.50:0.05:1.00",
-        help="comma list or start:step:stop range of oracle accuracies",
-    )
-    p.add_argument("--ks", default="10,20,30", help="comma list of comparison counts")
-    p.add_argument(
-        "--clamp-c", type=float, default=0.0, help="rank-variance clamp factor (0 disables)"
-    )
-    p.set_defaults(func=cmd_sweep)
+    noise = command("noise", help="perturb rank variances and measure the effect on beta")
+    for p, func in ((sweep, cmd_sweep), (baseline, cmd_baseline), (noise, cmd_noise)):
+        _add_protocol_options(p)
+        out(p, func)
+    baseline.add_argument("--method", required=True, choices=("projection", "rbr"))
+    for p in (sweep, baseline):
+        p.add_argument(
+            "--accuracies",
+            default="0.50:0.05:1.00",
+            help="comma list or start:step:stop range of oracle accuracies",
+        )
+    sweep.add_argument("--ks", default="10,20,30", help="comma list of comparison counts")
+    baseline.add_argument("--k", type=int, default=30, help="comparisons per query")
+    for p in (refine, sweep, baseline):
+        p.add_argument(
+            "--clamp-c",
+            type=float,
+            default=0.0,
+            help="clamp rank variance below at c * var_reg (0 disables)",
+        )
+    noise.add_argument("--bs", default="0,1,2,3,5,10", help="perturbation half-widths")
+    noise.add_argument("--k", type=int, default=30, help="comparisons per query")
+    noise.add_argument("--accuracy", type=float, default=0.8, help="oracle accuracy")
 
-    p = sub.add_parser(
-        "baseline",
-        help="compare fusion against projection or neighbor smoothing",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_protocol_options(p)
-    p.add_argument("--method", required=True, choices=("projection", "rbr"))
-    p.add_argument("--accuracies", default="0.50:0.05:1.00", help="oracle accuracies")
-    p.add_argument("--k", type=int, default=30, help="comparisons per query")
+    p = command("validate-bound", help="Monte-Carlo check of the fusion error-ratio guarantee")
     p.add_argument(
-        "--clamp-c", type=float, default=0.0, help="rank-variance clamp factor (0 disables)"
-    )
-    p.set_defaults(func=cmd_baseline)
-
-    p = sub.add_parser(
-        "noise",
-        help="perturb rank variances and measure the effect on beta",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    _add_protocol_options(p)
-    p.add_argument("--bs", default="0,1,2,3,5,10", help="perturbation half-widths")
-    p.add_argument("--k", type=int, default=30, help="comparisons per query")
-    p.add_argument("--accuracy", type=float, default=0.8, help="oracle accuracy")
-    p.set_defaults(func=cmd_noise)
-
-    p = sub.add_parser(
-        "validate-bound",
-        help="Monte-Carlo check of the fusion error-ratio guarantee",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    p.add_argument(
-        "--alphas",
-        default=",".join(str(a) for a in DEFAULT_ALPHAS),
-        help="target error ratios",
+        "--alphas", default=",".join(str(a) for a in DEFAULT_ALPHAS), help="target error ratios"
     )
     p.add_argument("--samples", type=int, default=1_000_000, help="Monte-Carlo draws")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_validate_bound)
+    out(p, cmd_validate_bound)
 
-    p = sub.add_parser(
-        "make-synthetic",
-        help="write the synthetic benchmark dataset as CSV",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
+    p = command("make-synthetic", help="write the synthetic benchmark dataset as CSV")
     p.add_argument("--n", type=int, default=260, help="rows")
     p.add_argument("--d", type=int, default=12, help="features")
     p.add_argument("--noise-sd", type=float, default=2.2, help="label noise sd")
     p.add_argument("--seed", type=int, default=7, help="data seed")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_make_synthetic)
-
+    out(p, cmd_make_synthetic)
     return parser
 
 
@@ -588,18 +554,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         args.func(args)
-    except ValidationError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return EXIT_CODES[type(exc)]
     return 0
 
 

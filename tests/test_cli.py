@@ -18,7 +18,7 @@ from rankrefine import cli, forest
 from rankrefine.cli import _parse_float_list, _parse_int_list, main
 from rankrefine.core import Dataset, load_dataset_csv, save_dataset_csv
 from rankrefine.experiments import DEFAULT_ACCURACIES, make_synthetic_dataset
-from rankrefine.errors import ValidationError
+from rankrefine.errors import RankRefineError, ValidationError
 from rankrefine.rankers import load_replay_transport
 
 REPLAY_FIXTURE = Path(__file__).parent / "data" / "llm_replay.json"
@@ -816,6 +816,27 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
-    def test_module_main_help_exits_zero(self, capsys):
-        assert main(["sweep", "--help"]) == 0
-        assert "--accuracies" in capsys.readouterr().out
+    # ArgumentDefaultsHelpFormatter formats each help string only for its own
+    # subcommand's --help, so every subcommand is asked for it.
+    @pytest.mark.parametrize(
+        "command",
+        ["refine", "rank", "sweep", "baseline", "noise", "validate-bound", "make-synthetic"],
+    )
+    def test_module_main_help_exits_zero(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: rankrefine {command} ")
+        assert "--out OUT" in out
+
+    def test_each_package_error_has_its_exit_code(self, tmp_path, capsys, monkeypatch):
+        assert set(cli.EXIT_CODES) == set(RankRefineError.__subclasses__())
+        for error, code in cli.EXIT_CODES.items():
+
+            def fail(args, error=error):
+                raise error("it went wrong")
+
+            monkeypatch.setattr(cli, "cmd_validate_bound", fail)
+            assert main(["validate-bound", "--out", str(tmp_path / "z.csv")]) == code
+            captured = capsys.readouterr()
+            assert captured.err == "error: it went wrong\n"
+            assert captured.out == ""
