@@ -46,9 +46,10 @@ MAX_ITERATIONS = 200
 # make regula falsi creep, shorter paths need markedly more calls.
 _PATH = 20
 # The search domain is the label range widened by DOMAIN_MARGIN times its
-# width (a width of 1 is used when all labels coincide), so the estimate can
-# land outside the observed labels but not arbitrarily far. Its ends must lie
-# within _HALF_MAX of zero, so that no midpoint sum overflows.
+# width, so the estimate can land outside the observed labels but not
+# arbitrarily far. When all labels coincide the width is 1, or one ulp of the
+# label where that is larger, so that the ends never round back onto the label.
+# Its ends must lie within _HALF_MAX of zero, so that no midpoint sum overflows.
 DOMAIN_MARGIN = 1.0
 _HALF_MAX = sys.float_info.max / 2
 
@@ -114,7 +115,7 @@ def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
     hi_label = float(np.maximum.reduce(labels))
     width = hi_label - lo_label
     if width == 0.0:
-        width = 1.0
+        width = max(1.0, math.ulp(hi_label))
     lo = lo_label - DOMAIN_MARGIN * width
     hi = hi_label + DOMAIN_MARGIN * width
     if not (abs(lo) <= _HALF_MAX and abs(hi) <= _HALF_MAX):
@@ -145,10 +146,10 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
     if d_lo >= 0.0:
         # NLL is nondecreasing on the whole domain: minimum at the left edge.
         value = lo
-        clamped = d_lo > TOLERANCE
+        clamped = d_lo > TOLERANCE or comparisons.n_below == 0
     elif d_hi <= 0.0:
         value = hi
-        clamped = d_hi < -TOLERANCE
+        clamped = d_hi < -TOLERANCE or comparisons.n_below == len(comparisons)
     else:
         value = _bisect(lo, hi, d_lo, d_hi, guess, path, derivatives, comparisons)
         clamped = False

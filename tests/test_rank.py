@@ -60,10 +60,10 @@ def _reference_solve_rank_estimate(comparisons):
 
     if d_lo >= 0.0:
         value = lo
-        clamped = d_lo > rank.TOLERANCE
+        clamped = d_lo > rank.TOLERANCE or comparisons.n_below == 0
     elif d_hi <= 0.0:
         value = hi
-        clamped = d_hi < -rank.TOLERANCE
+        clamped = d_hi < -rank.TOLERANCE or comparisons.n_below == len(comparisons)
     else:
         value = 0.5 * (lo + hi)
         clamped = False
@@ -200,10 +200,17 @@ class TestSearchDomain:
         lo, hi = search_domain(cs)
         assert (lo, hi) == (-4.0, 8.0)
 
-    def test_degenerate_range_uses_unit_width(self):
-        cs = _comparison_set(below=[2.0, 2.0])
+    @pytest.mark.parametrize(
+        "label, domain",
+        [(2.0, (1.0, 3.0)), (2.0**53, (2.0**53 - 2, 2.0**53 + 2)), (1e17, (1e17 - 16, 1e17 + 16))],
+        ids=["small", "2**53", "1e17"],
+    )
+    def test_degenerate_range_uses_unit_width(self, label, domain):
+        # Past 2**53 a unit width rounds away, so the width is one ulp of the label.
+        cs = _comparison_set(below=[label, label])
         lo, hi = search_domain(cs)
-        assert (lo, hi) == (1.0, 3.0)
+        assert lo < label < hi
+        assert (lo, hi) == domain
 
 
 class TestSolver:
@@ -225,15 +232,27 @@ class TestSolver:
             assert abs(est.value - _grid_minimum(cs, lo, hi)) <= 1e-3
             assert not est.clamped
 
-    def test_one_sided_below_clamps_high(self):
-        cs = _comparison_set(below=[0.0, 1.0, 2.0])
+    # Spread-out labels saturate the sigmoids, so the edge derivative falls
+    # within TOLERANCE of zero; a one-sided set is clamped all the same.
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.0, 1.0, 2.0], [0.0, 20.0], [0.0, 30.0]],
+        ids=["close", "20 apart", "30 apart"],
+    )
+    def test_one_sided_below_clamps_high(self, labels):
+        cs = _comparison_set(below=labels)
         est = solve_rank_estimate(cs)
         _, hi = search_domain(cs)
         assert est.clamped
         assert est.value == hi
 
-    def test_one_sided_above_clamps_low(self):
-        cs = _comparison_set(above=[0.0, 1.0])
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.0, 1.0], [0.0, 20.0], [0.0, 30.0]],
+        ids=["close", "20 apart", "30 apart"],
+    )
+    def test_one_sided_above_clamps_low(self, labels):
+        cs = _comparison_set(above=labels)
         est = solve_rank_estimate(cs)
         lo, _ = search_domain(cs)
         assert est.clamped
