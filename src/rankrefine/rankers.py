@@ -334,7 +334,7 @@ class ReplayTransport:
     ) -> str:
         self.requests.append(payload)
         if not self._responses:
-            raise TransportError("replay transport has no responses left")
+            raise TransportError("replay transport has no responses left", retryable=False)
         return self._responses.pop(0)
 
 

@@ -450,6 +450,15 @@ class TestLlmRankBatch:
         assert calls["n"] == 1
         assert slept == []
 
+    def test_exhausted_replay_raises_without_backoff(self):
+        # A replay that has run out cannot recover, so no retry waits for it.
+        calls = []
+        with pytest.raises(TransportError, match="no responses left"):
+            llm_rank_batch(
+                [("a", "b")], _config(), transport=ReplayTransport([]), sleep=calls.append
+            )
+        assert calls == []
+
     def test_api_key_read_from_named_env_var(self, monkeypatch):
         seen = {}
 
