@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     ).add_parser
 
     def out(p: argparse.ArgumentParser, func) -> None:
-        # Every subcommand writes one file, named by its required --out.
+        # Every subcommand writes one file, named by its required --out. It is
+        # added where --out stands in the subcommand's usage and errors.
         p.add_argument("--out", required=True, help="output CSV path")
         p.set_defaults(func=func)
 
