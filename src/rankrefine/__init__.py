@@ -48,6 +48,7 @@ from .rank import (
     bt_nll,
     fisher_variance,
     solve_rank_estimate,
+    solve_rank_estimates,
 )
 from .rankers import (
     LlmRankerConfig,
@@ -120,5 +121,6 @@ __all__ = [
     "save_comparisons_csv",
     "save_dataset_csv",
     "solve_rank_estimate",
+    "solve_rank_estimates",
     "validate_bound",
 ]

@@ -47,7 +47,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .fusion import check_clamp_c, fuse, regularize_rank_variance
-from .rank import solve_rank_estimate
+from .rank import solve_rank_estimates
 from .rankers import (
     DEFAULT_PROMPT_TEMPLATE,
     LlmRankerConfig,
@@ -228,11 +228,13 @@ def cmd_refine(args: argparse.Namespace) -> None:
                 f"{args.comparisons}: comparisons reference unknown prediction id {qid!r}"
             )
     refined = [i for i, pid in enumerate(ids) if pid in grouped]
-    estimates = []
-    for i in refined:
-        judged = grouped[ids[i]]
-        outcomes = zip(repeat(ids[i]), judged.keys(), judged.values())
-        estimates.append(solve_rank_estimate(ComparisonSet.from_outcomes(outcomes, labels)))
+    # A generator, so the solver holds one chunk of comparison sets at a time.
+    estimates = solve_rank_estimates(
+        ComparisonSet.from_outcomes(
+            zip(repeat(ids[i]), grouped[ids[i]].keys(), grouped[ids[i]].values()), labels
+        )
+        for i in refined
+    )
     reg_var = reg.variance[refined]
     rank_var = np.array([est.variance for est in estimates])
     if args.clamp_c > 0:

@@ -43,7 +43,7 @@ from .core import (
 from .errors import ValidationError
 from .forest import ForestConfig, TrainedForest
 from .fusion import check_clamp_c, fuse, regularize_rank_variance, required_rank_variance
-from .rank import solve_rank_estimate
+from .rank import solve_rank_estimates
 from .rankers import (
     OracleDraws, check_accuracy, draw_oracle, generate_comparisons, log_tied_references
 )
@@ -265,30 +265,32 @@ def _compute_cell(ctx: _SeedContext, accuracy: float, k: int) -> _Cell:
 
     The pairs judged correct (``flips[:k] < accuracy``) nest as the accuracy
     grows, so their count names the set: a query whose count matches the last
-    solve at this k reuses that solve's comparisons and estimate.
+    solve at this k reuses that solve's comparisons and estimate. The other
+    queries' sets are solved in one batch, in query order.
     """
     check_accuracy(accuracy)  # a reused solve judges nothing, so check here
     labels_by_id = ctx.train.labels_by_id()
-    comparisons, estimates = [], []
+    fresh = []  # (query index, pairs judged correct, ComparisonSet) to solve, in query order
     for i, draws in enumerate(ctx.draws):
         n_correct = int(np.count_nonzero(draws.flips[:k] < accuracy))
         last = ctx.solved.get((i, k))
         if last is None or last[0] != n_correct:
             outcomes = generate_comparisons(draws, k, accuracy)
-            comps = ComparisonSet.from_outcomes(outcomes, labels_by_id)
-            last = ctx.solved[i, k] = (n_correct, comps, solve_rank_estimate(comps))
-        comparisons.append(last[1])
-        estimates.append(last[2])
+            fresh.append((i, n_correct, ComparisonSet.from_outcomes(outcomes, labels_by_id)))
+    estimates = solve_rank_estimates([comps for _, _, comps in fresh])
+    for (i, n_correct, comps), est in zip(fresh, estimates):
+        ctx.solved[i, k] = (n_correct, comps, est)
+    solved = [ctx.solved[i, k] for i in range(len(ctx.draws))]
     return _Cell(
         ctx=ctx,
         accuracy=accuracy,
         k=k,
-        comparisons=comparisons,
+        comparisons=[comps for _, comps, _ in solved],
         rank=Estimate(
-            np.array([est.value for est in estimates]),
-            np.array([est.variance for est in estimates]),
+            np.array([est.value for _, _, est in solved]),
+            np.array([est.variance for _, _, est in solved]),
         ),
-        clamped=np.array([est.clamped for est in estimates]),
+        clamped=np.array([est.clamped for _, _, est in solved]),
     )
 
 

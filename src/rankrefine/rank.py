@@ -13,11 +13,19 @@ so one tanh per label gives the whole derivative and nothing overflows.
 The root is found by bisection, stepping exactly as a loop that evaluates one
 midpoint per step, but each vectorised derivative call evaluates a predicted
 path: the next ``_PATH`` midpoints if the root were at a guessed point. The
-first call adds the domain edges (for the clamp tests) and guesses between the
-``n_below``-th smallest label and the next, where consistent comparisons put
-the query; each later call guesses the regula-falsi root of the bracket. A
-call is needed again only after a step goes against its guess, so the guess
-picks which points are evaluated but never a step: the estimates are the loop's.
+first call adds the domain edges (for the clamp tests) and walks toward the
+caller's ``guess``, by default between the ``n_below``-th smallest label and
+the next, where consistent comparisons put the query; each later call guesses
+the regula-falsi root of the bracket. A call is needed again only after a step
+goes against its guess, so the guess picks which points are evaluated but
+never a step: the estimates are the loop's, whatever the guess.
+
+``solve_rank_estimates`` solves many sets. It reads them a chunk at a time,
+predicts every root of a chunk at once by Newton's method on a padded label
+matrix, and then makes one ``solve_rank_estimate`` call per set with its
+predicted root as the guess. A guess within the tolerance of the root keeps
+every step of the first path, so a set whose bisection ends within ``_PATH``
+steps takes one derivative call.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -42,9 +52,15 @@ VARIANCE_CAP = 1e12
 # after MAX_ITERATIONS bisection steps.
 TOLERANCE = 1e-8
 MAX_ITERATIONS = 200
-# Midpoints of a predicted path per derivative call; where saturated sigmoids
-# make regula falsi creep, shorter paths need markedly more calls.
-_PATH = 20
+# Midpoints of a predicted path per derivative call: enough for the whole
+# walk of a set whose labels span a few tens of units, so that a set whose
+# guess is its root needs one call. Where saturated sigmoids make regula falsi
+# creep, shorter paths need markedly more calls.
+_PATH = 40
+# Sets whose roots solve_rank_estimates predicts together, which bounds the
+# padded label matrix it holds; and the Newton steps it takes per chunk at most.
+_CHUNK = 512
+_NEWTON_STEPS = 40
 # The search domain is the label range widened by DOMAIN_MARGIN times its
 # width, so the estimate can land outside the observed labels but not
 # arbitrarily far. When all labels coincide the width is 1, or one ulp of the
@@ -126,20 +142,23 @@ def search_domain(comparisons: ComparisonSet) -> tuple[float, float]:
     return lo, hi
 
 
-def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
+def solve_rank_estimate(comparisons: ComparisonSet, *, guess: float | None = None) -> RankEstimate:
     """Minimize the comparison NLL over the search domain.
 
     Bisection on the monotone derivative, run until the derivative magnitude
     falls below ``TOLERANCE``, the bracket collapses to adjacent doubles, or
     ``MAX_ITERATIONS`` steps have run (logged as a warning). Each derivative
-    call evaluates one predicted path (see the module docstring); the steps
-    taken and the value returned are those of plain bisection. When every
-    comparison points one way the minimum sits at a domain boundary and the
-    estimate is returned with ``clamped=True``.
+    call evaluates one predicted path of up to ``_PATH`` midpoints (see the
+    module docstring); the first walks toward ``guess``, by default the
+    order-statistic guess. The guess, any float or NaN, only sets which points
+    are evaluated: the steps taken and the value returned are those of plain
+    bisection. When every comparison points one way the minimum sits at a
+    domain boundary and the estimate is returned with ``clamped=True``.
     """
     _require_nonempty(comparisons)
     lo, hi = search_domain(comparisons)
-    guess = _order_statistic_guess(comparisons)
+    if guess is None:
+        guess = _order_statistic_guess(comparisons)
     path = _predicted_path(lo, hi, guess, min(_PATH, MAX_ITERATIONS))
     d_lo, d_hi, *derivatives = _nll_derivatives([lo, hi, *path], comparisons)
 
@@ -157,6 +176,73 @@ def solve_rank_estimate(comparisons: ComparisonSet) -> RankEstimate:
     return RankEstimate(
         value=value, variance=fisher_variance(value, comparisons), clamped=clamped
     )
+
+
+def solve_rank_estimates(sets: Iterable[ComparisonSet]) -> list[RankEstimate]:
+    """``solve_rank_estimate`` of each set, in order, each root guessed in a batch.
+
+    Reads ``sets`` lazily, ``_CHUNK`` sets at a time, predicts the roots of a
+    chunk together, then calls ``solve_rank_estimate(cs, guess=root)`` once per
+    set. Every estimate is the one a lone call returns, and a set that cannot
+    be solved raises as a lone call would, after the sets before it.
+    """
+    estimates = []
+    iterator = iter(sets)
+    while chunk := list(islice(iterator, _CHUNK)):
+        for cs, guess in zip(chunk, _predicted_roots(chunk)):
+            estimates.append(solve_rank_estimate(cs, guess=guess))
+    return estimates
+
+
+def _predicted_roots(chunk: list[ComparisonSet]) -> list[float]:
+    # Newton's method on every set's derivative at once, each step kept inside
+    # its set's search-domain bracket (bisecting it instead when a step would
+    # leave), until the derivative is within half the tolerance. Rows are
+    # padded with +inf, whose tanh((y - inf) / 2) is exactly -1 and whose slope
+    # term 1 - tanh**2 is 0, so the offset adds one back per pad. Padded sums
+    # may differ from a lone row's in the last bits; a prediction never moves
+    # a step. A set that clamps is given its edge, and a set that a lone call
+    # rejects gets whatever falls out (NaN included), since that call raises.
+    sizes = np.array([len(cs) for cs in chunk])
+    rows = np.full((sizes.size, sizes.max(initial=1)), np.inf)
+    for row, cs in zip(rows, chunk):
+        row[: cs.labels.size] = cs.labels
+    n_below = np.array([cs.n_below for cs in chunk])
+    offset = rows.shape[1] - 2.0 * n_below
+
+    def derivative(y, at):
+        tanh = np.tanh((y[:, None] - rows[at]) * 0.5)
+        return (np.add.reduce(tanh, axis=1) + offset[at]) * 0.5, tanh
+
+    with np.errstate(all="ignore"):
+        ordered = np.sort(rows, axis=1)
+        at = np.arange(sizes.size)
+        lo_label = ordered[:, 0]
+        hi_label = ordered[at, sizes - 1]
+        width = hi_label - lo_label
+        width[width == 0.0] = np.maximum(1.0, np.spacing(np.abs(hi_label[width == 0.0])))
+        lo = lo_label - DOMAIN_MARGIN * width
+        hi = hi_label + DOMAIN_MARGIN * width
+        d_lo, _ = derivative(lo, at)
+        d_hi, _ = derivative(hi, at)
+        roots = np.where(d_lo >= 0.0, lo, hi)
+        at = np.flatnonzero((d_lo < 0.0) & (d_hi > 0.0))
+        below = ordered[at, np.maximum(n_below[at] - 1, 0)]
+        roots[at] = 0.5 * (below + ordered[at, np.minimum(n_below[at], sizes[at] - 1)])
+        for _ in range(_NEWTON_STEPS):
+            y = roots[at]
+            d, tanh = derivative(y, at)
+            lo[at] = np.where(d < 0.0, y, lo[at])
+            hi[at] = np.where(d > 0.0, y, hi[at])
+            step = y - d / (np.add.reduce(1.0 - tanh * tanh, axis=1) * 0.25)
+            inside = (lo[at] < step) & (step < hi[at])
+            step = np.where(inside, step, 0.5 * (lo[at] + hi[at]))
+            moving = (np.abs(d) > 0.5 * TOLERANCE) & (step != y)
+            at = at[moving]
+            roots[at] = step[moving]
+            if not at.size:
+                break
+    return roots.tolist()
 
 
 def _bisect(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankrefine import experiments
+from rankrefine import experiments, rank
 from rankrefine.core import load_dataset_csv
 from rankrefine.errors import ValidationError
 from rankrefine.experiments import (
@@ -154,9 +154,9 @@ class TestCellReuse:
             (0.9, 10), (0.9, 5), (0.75, 10), (1.0, 5), (0.55, 10), (0.8, 5),
         ]
         solves = []
-        solve = experiments.solve_rank_estimate
+        solve = rank.solve_rank_estimate
         monkeypatch.setattr(
-            experiments, "solve_rank_estimate", lambda comps: solves.append(1) or solve(comps)
+            rank, "solve_rank_estimate", lambda comps, **kw: solves.append(1) or solve(comps, **kw)
         )
         reused = [_compute_cell(ctx, accuracy, k) for accuracy, k in order]
         assert 0 < len(solves) < len(order) * len(ctx.draws)

@@ -1,5 +1,6 @@
 """Likelihood solver: hand-checked values, grid-search agreement, clamping,
-and bit-identity with the one-step-at-a-time bisection it replaced."""
+and bit-identity, alone and in a batch, with the one-step-at-a-time bisection
+it replaced."""
 
 import math
 import warnings
@@ -17,6 +18,7 @@ from rankrefine.rank import (
     fisher_variance,
     search_domain,
     solve_rank_estimate,
+    solve_rank_estimates,
 )
 
 from conftest import grid_nll
@@ -275,7 +277,8 @@ class TestSolver:
 
 
 class TestBitIdentity:
-    """The path-walking solver returns exactly what the scalar loop returns."""
+    """The path-walking solver returns exactly what the scalar loop returns,
+    whether it is called on one set or on many."""
 
     def test_fuzzed_sets_match_the_scalar_loop(self):
         reached = {"lo": 0, "hi": 0, "first midpoint": 0, "bisected": 0, "clamped": 0}
@@ -295,15 +298,97 @@ class TestBitIdentity:
         assert min(reached.values()) >= 50, reached
         assert reached["first midpoint"] >= 480 and reached["bisected"] > 1500, reached
 
-    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 5, 7])
-    def test_iteration_cap_matches_the_scalar_loop(self, monkeypatch, max_iterations):
-        monkeypatch.setattr(rank, "MAX_ITERATIONS", max_iterations)
-        for cs in _fuzzed_sets(40, seed=7):
-            got = solve_rank_estimate(cs)
+    @pytest.mark.parametrize("corpus", ["fuzzed", "refine-shaped"])
+    def test_batch_matches_the_scalar_loop(self, corpus):
+        sets = _fuzzed_sets(2400) if corpus == "fuzzed" else _refine_shaped_sets(1000)
+        batch = solve_rank_estimates(sets)
+        assert len(batch) == len(sets)
+        for got, cs in zip(batch, sets):
             want = _reference_solve_rank_estimate(cs)
             assert (got.value, got.variance, got.clamped) == (
                 want.value, want.variance, want.clamped
-            )
+            ), (cs.below_labels, cs.above_labels)
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3, 5, 7])
+    def test_iteration_cap_matches_the_scalar_loop(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(rank, "MAX_ITERATIONS", max_iterations)
+        sets = _fuzzed_sets(40, seed=7)
+        for cs, batched in zip(sets, solve_rank_estimates(sets), strict=True):
+            want = _reference_solve_rank_estimate(cs)
+            for got in (solve_rank_estimate(cs), batched):
+                assert (got.value, got.variance, got.clamped) == (
+                    want.value, want.variance, want.clamped
+                )
+
+
+class TestBatch:
+    """``solve_rank_estimates`` is one ``solve_rank_estimate`` call per set, in order."""
+
+    def test_calls_the_solver_once_per_set_in_order(self, monkeypatch):
+        sets = _refine_shaped_sets(600)
+        solve = rank.solve_rank_estimate
+        seen = []
+
+        def recording(cs, **kwargs):
+            seen.append((cs, sorted(kwargs)))
+            return solve(cs, **kwargs)
+
+        monkeypatch.setattr(rank, "solve_rank_estimate", recording)
+        assert solve_rank_estimates(iter(sets)) == [solve(cs) for cs in sets]
+        assert len(seen) == len(sets)
+        assert all(got is want for (got, _), want in zip(seen, sets))
+        assert {tuple(kwargs) for _, kwargs in seen} == {("guess",)}
+
+    def test_empty_input_solves_nothing(self):
+        assert solve_rank_estimates([]) == []
+        assert solve_rank_estimates(iter(())) == []
+
+    def test_reads_at_most_one_chunk_ahead(self, monkeypatch):
+        sets = _refine_shaped_sets(2 * rank._CHUNK + 5)
+        read = []
+
+        def lazily():
+            for cs in sets:
+                read.append(cs)
+                yield cs
+
+        solve = rank.solve_rank_estimate
+        solved = []
+
+        def bounded(cs, **kwargs):
+            # The chunk holding this set is read, and nothing past it.
+            assert len(read) == min(len(sets), (len(solved) // rank._CHUNK + 1) * rank._CHUNK)
+            solved.append(cs)
+            return solve(cs, **kwargs)
+
+        monkeypatch.setattr(rank, "solve_rank_estimate", bounded)
+        solve_rank_estimates(lazily())
+        assert len(solved) == len(sets)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (ComparisonSet([], 0), ValidationError),
+            (ComparisonSet([math.nan, 1.0], 1), NumericError),
+            (ComparisonSet([-1e308, 1e308], 1), NumericError),
+        ],
+        ids=["empty", "nan label", "overflowing range"],
+    )
+    def test_unsolvable_set_raises_after_the_sets_before_it(self, monkeypatch, bad, error):
+        solve = rank.solve_rank_estimate
+        solved = []
+        monkeypatch.setattr(
+            rank, "solve_rank_estimate", lambda cs, **kw: solved.append(cs) or solve(cs, **kw)
+        )
+        good = _refine_shaped_sets(3)
+        # Predicting the roots of a chunk holding it raises nothing and warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for chunk in ([*good, bad, *good], [bad]):
+                solved.clear()
+                with pytest.raises(error):
+                    solve_rank_estimates(chunk)
+                assert solved == chunk[: chunk.index(bad) + 1]
 
 
 class TestPredictedPath:
@@ -316,33 +401,30 @@ class TestPredictedPath:
             "lo": lambda lo, hi: lo,
             "hi": lambda lo, hi: hi,
             "nan": lambda lo, hi: math.nan,
+            "inf": lambda lo, hi: math.inf,
+            "-inf": lambda lo, hi: -math.inf,
             "random": lambda lo, hi: float(rng.uniform(lo, hi)),
         }
         predicted = dict.fromkeys(guesses, 0)
-        first = dict.fromkeys(guesses, 0)
 
         def predict_root(lo, hi, d_lo, d_hi):
             predicted[guess] += 1
             return guesses[guess](lo, hi)
 
-        def first_guess(comparisons):
-            first[guess] += 1
-            return guesses[guess](*search_domain(comparisons))
-
+        # The first guess is the caller's; each later one is the patched prediction.
         monkeypatch.setattr(rank, "_predict_root", predict_root)
-        monkeypatch.setattr(rank, "_order_statistic_guess", first_guess)
         cases = [(rank.MAX_ITERATIONS, cs) for cs in _fuzzed_sets(2400)]
         cases += [(m, cs) for m in (1, 2, 3, 5, 7) for cs in _fuzzed_sets(40, seed=7)]
         for max_iterations, cs in cases:
             monkeypatch.setattr(rank, "MAX_ITERATIONS", max_iterations)
             want = _reference_solve_rank_estimate(cs)
+            domain = search_domain(cs)
             for guess in guesses:
-                got = solve_rank_estimate(cs)
+                got = solve_rank_estimate(cs, guess=guesses[guess](*domain))
                 assert (got.value, got.variance, got.clamped) == (
                     want.value, want.variance, want.clamped
                 ), (guess, max_iterations, cs.below_labels, cs.above_labels)
         assert min(predicted.values()) > 2400, predicted
-        assert set(first.values()) == {len(cases)}, first
 
     def test_derivative_calls_per_solve(self, monkeypatch):
         calls = []
@@ -365,6 +447,11 @@ class TestPredictedPath:
             solve_rank_estimate(cs)
         fuzzed = len(calls) / len(sets)
         assert refine_shaped <= 3.6 and fuzzed <= 5.5, (refine_shaped, fuzzed)
+        # A batch guesses each root within the tolerance, so one call walks the whole way.
+        calls.clear()
+        sets = _refine_shaped_sets(1000)
+        solve_rank_estimates(sets)
+        assert len(calls) / len(sets) <= 1.1, len(calls) / len(sets)
 
     def test_iteration_cap_logs_one_warning(self, monkeypatch, caplog):
         cs = _comparison_set(below=[-1.0, 0.3], above=[1.0])
