@@ -434,6 +434,15 @@ def cmd_make_synthetic(args: argparse.Namespace) -> None:
 # Parser
 
 
+class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each option's default to its help, unless the default is None."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankrefine",
@@ -444,9 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     command = parser.add_subparsers(
         dest="command",
         required=True,
-        parser_class=partial(
-            argparse.ArgumentParser, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        ),
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_DefaultsHelpFormatter),
     ).add_parser
 
     def out(p: argparse.ArgumentParser, func) -> None:

@@ -827,6 +827,12 @@ class TestEntryPoint:
         out = capsys.readouterr().out
         assert out.startswith(f"usage: rankrefine {command} ")
         assert "--out OUT" in out
+        # Defaults are shown, but not a default of None.
+        assert "(default: None)" not in " ".join(out.split())
+        if command in ("refine", "sweep", "baseline"):
+            assert "clamp rank variance below at c * var_reg (0 disables) (default: 0.0)" in (
+                " ".join(out.split())
+            )
 
     def test_each_package_error_has_its_exit_code(self, tmp_path, capsys, monkeypatch):
         assert set(cli.EXIT_CODES) == set(RankRefineError.__subclasses__())
