@@ -20,8 +20,9 @@ _SEP = "\x1f"
 
 def _canonical(parts: tuple[Part, ...]) -> bytes:
     # repr() keeps distinct floats distinct (0.1 vs 0.1000001) and is stable
-    # across platforms for IEEE doubles.
-    chunks = [repr(p) if isinstance(p, float) else str(p) for p in parts]
+    # across platforms for IEEE doubles. A numpy float64 is a float whose repr
+    # names its type, so it is taken as the equal Python float first.
+    chunks = [repr(float(p)) if isinstance(p, float) else str(p) for p in parts]
     return _SEP.join(chunks).encode("utf-8")
 
 

@@ -29,8 +29,9 @@ class TestDeriveSeed:
         assert derive_seed("x", 1) != derive_seed("x", 1.0)
 
     def test_float_canonicalization_exact(self):
-        # repr round-trips floats, so equal floats give equal seeds.
+        # repr round-trips floats, so equal floats give equal seeds, numpy's included.
         assert derive_seed("x", 0.1 + 0.2) == derive_seed("x", 0.30000000000000004)
+        assert derive_seed("x", np.float64(0.1)) == derive_seed("x", 0.1)
 
     def test_range(self):
         for i in range(100):
