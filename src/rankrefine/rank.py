@@ -195,14 +195,15 @@ def solve_rank_estimates(sets: Iterable[ComparisonSet]) -> list[RankEstimate]:
 
 
 def _predicted_roots(chunk: list[ComparisonSet]) -> list[float]:
-    # Newton's method on every set's derivative at once, each step kept inside
-    # its set's search-domain bracket (bisecting it instead when a step would
-    # leave), until the derivative is within half the tolerance. Rows are
-    # padded with +inf, whose tanh((y - inf) / 2) is exactly -1 and whose slope
-    # term 1 - tanh**2 is 0, so the offset adds one back per pad. Padded sums
-    # may differ from a lone row's in the last bits; a prediction never moves
-    # a step. A set that clamps is given its edge, and a set that a lone call
-    # rejects gets whatever falls out (NaN included), since that call raises.
+    # Newton's method on every set's derivative at once, from the order-statistic
+    # guess, each step kept inside a bracket that starts as the set's search
+    # domain (bisecting it instead when a step would leave), until the
+    # derivative is within half the tolerance. Rows are padded with +inf, whose
+    # tanh((y - inf) / 2) is exactly -1 and whose slope term 1 - tanh**2 is 0,
+    # so the offset adds one back per pad. Padded sums may differ from a lone
+    # row's in the last bits; a prediction never moves a step. A set that
+    # clamps is given its edge, and a set that a lone call rejects gets
+    # whatever falls out (NaN included), since that call raises.
     sizes = np.array([len(cs) for cs in chunk])
     rows = np.full((sizes.size, sizes.max(initial=1)), np.inf)
     for row, cs in zip(rows, chunk):
@@ -220,7 +221,7 @@ def _predicted_roots(chunk: list[ComparisonSet]) -> list[float]:
         lo_label = ordered[:, 0]
         hi_label = ordered[at, sizes - 1]
         width = hi_label - lo_label
-        width[width == 0.0] = np.maximum(1.0, np.spacing(np.abs(hi_label[width == 0.0])))
+        width = np.where(width == 0.0, np.maximum(1.0, np.spacing(np.abs(hi_label))), width)
         lo = lo_label - DOMAIN_MARGIN * width
         hi = hi_label + DOMAIN_MARGIN * width
         d_lo, _ = derivative(lo, at)
