@@ -425,7 +425,8 @@ class TestPredictedPath:
                 ), (guess, max_iterations, cs.below_labels, cs.above_labels)
         assert min(predicted.values()) > 2400, predicted
 
-    def test_derivative_calls_per_solve(self, monkeypatch):
+    @staticmethod
+    def _counting_calls(monkeypatch):
         calls = []
         nll_derivatives = rank._nll_derivatives
 
@@ -434,6 +435,10 @@ class TestPredictedPath:
             return nll_derivatives(candidates, comparisons)
 
         monkeypatch.setattr(rank, "_nll_derivatives", counting)
+        return calls
+
+    def test_derivative_calls_per_solve(self, monkeypatch):
+        calls = self._counting_calls(monkeypatch)
         sets = _refine_shaped_sets(1000)
         for cs in sets:
             assert solve_rank_estimate(cs) == _reference_solve_rank_estimate(cs)
@@ -445,12 +450,27 @@ class TestPredictedPath:
         for cs in sets:
             solve_rank_estimate(cs)
         fuzzed = len(calls) / len(sets)
-        assert refine_shaped <= 3.6 and fuzzed <= 5.5, (refine_shaped, fuzzed)
-        # A batch guesses each root within the tolerance, so one call walks the whole way.
+        # A guess within the tolerance of the root lets one call walk the whole way.
+        assert refine_shaped <= 1.1 and fuzzed <= 5.5, (refine_shaped, fuzzed)
+        calls.clear()
+        solve_rank_estimates(sets)
+        assert len(calls) / len(sets) <= 4.0, len(calls) / len(sets)
         calls.clear()
         sets = _refine_shaped_sets(1000)
         solve_rank_estimates(sets)
         assert len(calls) / len(sets) <= 1.1, len(calls) / len(sets)
+
+    @pytest.mark.parametrize("corpus", ["fuzzed", "refine-shaped"])
+    def test_a_lone_call_guesses_like_a_batch(self, monkeypatch, corpus):
+        # A lone call predicts its root as a batch of one set, so it walks the
+        # same paths as the batch and takes the same derivative calls.
+        sets = _fuzzed_sets(2400) if corpus == "fuzzed" else _refine_shaped_sets(1000)
+        calls = self._counting_calls(monkeypatch)
+        lone = [solve_rank_estimate(cs) for cs in sets]
+        lone_calls = calls.copy()
+        calls.clear()
+        assert solve_rank_estimates(sets) == lone
+        assert len(lone_calls) == len(calls), (len(lone_calls), len(calls))
 
     def test_iteration_cap_logs_one_warning(self, monkeypatch, caplog):
         cs = _comparison_set(below=[-1.0, 0.3], above=[1.0])
