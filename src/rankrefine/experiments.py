@@ -2,8 +2,9 @@
 
 Every protocol runs on one cell engine. A seed context holds one re-split:
 its train/test split, forest, regressor estimates and each test query's
-oracle draws. A cell is that context at one (accuracy, k): the comparisons,
-rank estimates and clamped flags of every test query, as per-query arrays.
+oracle draws, whose flips it also holds as one matrix. A cell is that context
+at one (accuracy, k): the comparisons, rank estimates and clamped flags of
+every test query, as per-query arrays.
 The sweep, baseline and noise protocols are short reducers over cells, each
 fusing a whole cell with one ``fuse`` call on arrays.
 
@@ -192,7 +193,12 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class _SeedContext:
-    """Everything about one re-split that does not depend on accuracy or k, and its solves."""
+    """Everything about one re-split that does not depend on accuracy or k, and its solves.
+
+    The draws' flips are also held as one matrix (``flips``), so a cell counts
+    every query's correct pairs at once; the last solves at each k are held as
+    per-query arrays (``solved``).
+    """
 
     seed_index: int
     train: Dataset
@@ -201,13 +207,27 @@ class _SeedContext:
     reg: Estimate
     mae_reg: float
     draws: tuple[OracleDraws, ...]
-    # (query index, k) -> (pairs judged correct, ComparisonSet, RankEstimate) of the last solve
+    # k -> the last solve of each query at k, in query order: (pairs judged
+    # correct, value, variance, clamped) arrays and a list of ComparisonSets.
+    # A count of -1 marks a query not yet solved at k.
     solved: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def train_values(self) -> np.ndarray:
         """Forest predictions on the training split, which the rbr baseline smooths toward."""
         return forest_mod.predict_matrix(self.model, self.train.features).mean(axis=0)
+
+    @cached_property
+    def flips(self) -> np.ndarray:
+        """Every query's flips as one (queries, pairs drawn) matrix.
+
+        A query whose references tie it drew fewer pairs; its row ends in NaN,
+        which lies below no accuracy.
+        """
+        flips = np.full((len(self.draws), max(d.flips.size for d in self.draws)), np.nan)
+        for row, draws in zip(flips, self.draws):
+            row[: draws.flips.size] = draws.flips
+        return flips
 
 
 def _build_seed_context(
@@ -264,33 +284,40 @@ def _compute_cell(ctx: _SeedContext, accuracy: float, k: int) -> _Cell:
     """Judge every test query's first k drawn pairs at one accuracy, then solve.
 
     The pairs judged correct (``flips[:k] < accuracy``) nest as the accuracy
-    grows, so their count names the set: a query whose count matches the last
+    grows, so their count names the set. One comparison over the context's
+    flip matrix counts every query's; a query whose count matches the last
     solve at this k reuses that solve's comparisons and estimate. The other
-    queries' sets are solved in one batch, in query order.
+    queries' sets are built and solved in one batch, in query order, and their
+    results replace the earlier ones at k. The cell holds copies, so a later
+    cell never changes it.
     """
     check_accuracy(accuracy)  # a reused solve judges nothing, so check here
+    n = len(ctx.draws)
+    counts, value, variance, clamped, sets = ctx.solved.get(k) or (
+        np.full(n, -1), np.empty(n), np.empty(n), np.zeros(n, dtype=bool), [None] * n
+    )
+    n_correct = np.count_nonzero(ctx.flips[:, :k] < accuracy, axis=1)
+    fresh = np.flatnonzero(n_correct != counts).tolist()
     labels_by_id = ctx.train.labels_by_id()
-    fresh = []  # (query index, pairs judged correct, ComparisonSet) to solve, in query order
-    for i, draws in enumerate(ctx.draws):
-        n_correct = int(np.count_nonzero(draws.flips[:k] < accuracy))
-        last = ctx.solved.get((i, k))
-        if last is None or last[0] != n_correct:
-            outcomes = generate_comparisons(draws, k, accuracy)
-            fresh.append((i, n_correct, ComparisonSet.from_outcomes(outcomes, labels_by_id)))
-    estimates = solve_rank_estimates([comps for _, _, comps in fresh])
-    for (i, n_correct, comps), est in zip(fresh, estimates):
-        ctx.solved[i, k] = (n_correct, comps, est)
-    solved = [ctx.solved[i, k] for i in range(len(ctx.draws))]
+    fresh_sets = [
+        ComparisonSet.from_outcomes(generate_comparisons(ctx.draws[i], k, accuracy), labels_by_id)
+        for i in fresh
+    ]
+    estimates = solve_rank_estimates(fresh_sets)
+    counts[fresh] = n_correct[fresh]
+    value[fresh] = [est.value for est in estimates]
+    variance[fresh] = [est.variance for est in estimates]
+    clamped[fresh] = [est.clamped for est in estimates]
+    for i, comps in zip(fresh, fresh_sets):
+        sets[i] = comps
+    ctx.solved[k] = (counts, value, variance, clamped, sets)
     return _Cell(
         ctx=ctx,
         accuracy=accuracy,
         k=k,
-        comparisons=[comps for _, comps, _ in solved],
-        rank=Estimate(
-            np.array([est.value for _, _, est in solved]),
-            np.array([est.variance for _, _, est in solved]),
-        ),
-        clamped=np.array([est.clamped for _, _, est in solved]),
+        comparisons=list(sets),
+        rank=Estimate(value.copy(), variance.copy()),
+        clamped=clamped.copy(),
     )
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import ComparisonOutcome, read_table, write_table
 from .errors import DataError, TransportError, ValidationError
-from .seeding import unit_uniform
+from .seeding import unit_uniforms
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ def draw_oracle(
     correct answer and are ineligible. The references are the first k of a
     permutation of the eligible pool, in mapping order, drawn from ``rng``,
     so a larger k extends a smaller k's sample. Pair i's flip is keyed by
-    (seed, query id, i) only.
+    (seed, query id, i) only; one ``unit_uniforms`` call draws the query's flips.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -76,7 +76,7 @@ def draw_oracle(
         query_id=query_id,
         ref_ids=tuple(rid for rid, _ in chosen),
         truth=np.array([y_query > label for _, label in chosen], dtype=bool),
-        flips=np.array([unit_uniform("oracle", seed, query_id, i) for i in range(len(chosen))]),
+        flips=unit_uniforms(len(chosen), "oracle", seed, query_id),
         n_eligible=len(eligible),
     )
 
@@ -102,7 +102,10 @@ def generate_comparisons(draws: OracleDraws, k: int, accuracy: float) -> list[Co
     if not 1 <= k <= len(draws.ref_ids):
         raise ValidationError(f"k={k} lies outside the {len(draws.ref_ids)} drawn pairs")
     above = (draws.truth[:k] == (draws.flips[:k] < accuracy)).tolist()
-    return list(map(ComparisonOutcome, repeat(query), draws.ref_ids, above))
+    # ComparisonOutcome's own __new__ is Python code; tuple.__new__ builds the
+    # same named tuple in C, as ComparisonOutcome._make does.
+    triples = zip(repeat(query), draws.ref_ids, above)
+    return list(map(tuple.__new__, repeat(ComparisonOutcome), triples))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Every random decision in the package flows from a master seed through a
 named substream. Substreams are derived by hashing the name parts, not by
 drawing from a shared generator, so results never depend on execution
 order, and any one piece of a larger run can be replayed in isolation.
+A counter-based uniform draw is the substream's seed scaled into [0, 1);
+``unit_uniforms`` draws a run of them whose names differ only in a trailing
+index, hashing the shared prefix of their names once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Union
 
 import numpy as np
@@ -16,6 +20,7 @@ import numpy as np
 Part = Union[str, int, float]
 
 _SEP = "\x1f"
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _canonical(parts: tuple[Part, ...]) -> bytes:
@@ -41,10 +46,26 @@ def derive_rng(*parts: Part) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
-def unit_uniform(*parts: Part) -> float:
-    """One deterministic draw in [0, 1) keyed by the substream name.
+def _unit_interval(seeds: int | np.ndarray) -> np.float64 | np.ndarray:
+    # A 64-bit seed, or an array of them, as seed / 2**64 in [0, 1). That
+    # quotient rounds the top 2**10 seeds up to 1.0, so it is capped at the
+    # largest double below 1.0; no lower seed reaches the cap.
+    return np.minimum(seeds * 2.0**-64, _BELOW_ONE)
 
-    Counter-based: no generator state is carried between calls, so draws
-    for different keys are independent of each other and of call order.
+
+def unit_uniforms(n: int, *parts: Part) -> np.ndarray:
+    """Deterministic draws in [0, 1), the i-th keyed by the name ``(*parts, i)``.
+
+    Counter-based: no generator state is carried between calls, so each draw
+    is independent of the others and of call order, and is the seed
+    ``derive_seed(*parts, i)`` scaled into [0, 1). The name parts are hashed
+    once; each draw finishes a copy of that hash with its index.
     """
-    return derive_seed(*parts) / 2.0**64
+    # A name ending in an empty part is the shared prefix, separator included.
+    head = hashlib.sha256(_canonical((*parts, "")))
+    seeds = []  # derive_seed's first 8 digest bytes, big-endian
+    for i in range(n):
+        pair = head.copy()
+        pair.update(b"%d" % i)
+        seeds.append(pair.digest()[:8])
+    return _unit_interval(np.frombuffer(b"".join(seeds), dtype=">u8"))

@@ -1,7 +1,10 @@
-"""Shared pytest plumbing: the acceptance-verdict summary block and a
-broadcast Bradley-Terry likelihood for grid-search checks."""
+"""Shared pytest plumbing: the acceptance-verdict summary block, a
+broadcast Bradley-Terry likelihood for grid-search checks, and the scalar
+counter-based uniform draw."""
 
 import numpy as np
+
+from rankrefine.seeding import _unit_interval, derive_seed
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -16,6 +19,15 @@ def grid_nll(comparisons, grid: np.ndarray) -> np.ndarray:
     if above.size:
         total += np.logaddexp(0.0, grid[None, :] - above[:, None]).sum(axis=0)
     return total
+
+
+def unit_uniform(*parts) -> float:
+    """One draw in [0, 1) keyed by the substream name, hashing the whole name.
+
+    The per-pair draw that ``unit_uniforms`` replaced, kept as the reference
+    it must match bit for bit.
+    """
+    return float(_unit_interval(derive_seed(*parts)))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -169,6 +169,19 @@ class TestCellReuse:
                 assert got.below_labels.tobytes() == want.below_labels.tobytes()
                 assert got.above_labels.tobytes() == want.above_labels.tobytes()
 
+    def test_a_cell_keeps_its_arrays_when_later_cells_re_solve_its_queries(self):
+        def contents(cell):
+            # ComparisonSets compare by identity, so equal lists hold the same sets.
+            arrays = (cell.rank.value, cell.rank.variance, cell.clamped)
+            return [a.tobytes() for a in arrays], list(cell.comparisons)
+
+        ctx = _build_seed_context(_fast_dataset(), 0, 6, 50, FAST_TREES, 10)
+        cell = _compute_cell(ctx, 1.0, 3)
+        kept = contents(cell)
+        later = [_compute_cell(ctx, accuracy, 3) for accuracy in (0.55, 0.9, 0.7)]
+        assert all(contents(other)[1] != kept[1] for other in later)  # each re-solved some
+        assert contents(cell) == kept
+
     def test_k_past_a_tied_pool_raises_at_the_first_cell_reaching_it(self):
         ties = load_dataset_csv(Path(__file__).parent / "data" / "cli_inputs" / "ties.csv")
         ctx = _build_seed_context(ties, 0, 0, 30, FAST_TREES, 22)

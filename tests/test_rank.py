@@ -485,6 +485,31 @@ class TestPredictedPath:
         assert "3-step cap" in caplog.records[0].getMessage()
 
 
+class TestCalibration:
+    """The variances fed to fusion are honest where Bradley-Terry's model holds."""
+
+    def test_fisher_variance_covers_the_truth_under_bt_answers(self):
+        # Sets shaped like the refine benchmark's, 5 to 40 references each,
+        # answered by BT's own model: P(query above reference) = sigmoid(y - y_i).
+        rng = np.random.default_rng(1)
+        references = rng.normal(0.0, 2.5, 500)
+        truths, sets = rng.normal(0.0, 2.5, 3000), []
+        for truth in truths:
+            chosen = references[rng.choice(500, size=int(rng.integers(5, 41)), replace=False)]
+            above = rng.random(chosen.size) < expit(truth - chosen)
+            row = np.concatenate([chosen[above], chosen[~above]])
+            sets.append(ComparisonSet(row, int(above.sum())))
+        z = np.array([
+            (est.value - truth) / math.sqrt(est.variance)
+            for est, truth in zip(solve_rank_estimates(sets), truths)
+            if not est.clamped
+        ])
+        assert z.size > 2500
+        coverage = float(np.mean(np.abs(z) <= 1.959964))
+        assert 0.93 <= coverage <= 0.97, coverage
+        assert 0.90 <= float(np.std(z)) <= 1.10, float(np.std(z))
+
+
 class TestFisherVariance:
     def test_symmetric_pair_hand_value(self):
         cs = _comparison_set(below=[-1.0], above=[1.0])

@@ -27,7 +27,9 @@ from rankrefine.rankers import (
     render_prompt,
     save_comparisons_csv,
 )
-from rankrefine.seeding import derive_rng, unit_uniform
+from rankrefine.seeding import derive_rng
+
+from conftest import unit_uniform
 
 
 def _refs(labels):

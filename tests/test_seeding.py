@@ -1,8 +1,26 @@
 """Deterministic seed derivation and the counter-based uniform stream."""
 
-import numpy as np
+import math
 
-from rankrefine.seeding import derive_rng, derive_seed, unit_uniform
+import numpy as np
+import pytest
+
+from rankrefine.seeding import _unit_interval, derive_rng, derive_seed, unit_uniforms
+
+from conftest import unit_uniform
+
+# Name parts that stress the canonical form: big and negative ints, floats
+# whose repr needs all 17 digits, numpy floats, and ids with the characters a
+# careless join would confuse (commas, spaces, the separator's neighbours) or
+# encode wrongly (non-ASCII text).
+FUZZ_PARTS = [
+    ("oracle", 2**64 - 1, "q01"),
+    ("oracle", -(2**80), "a,b", 0.1 + 0.2),
+    (np.float64(1e-310), "é, ü", 3, 1.0),
+    ("x", "数据 query", np.float64(-2.5), 2**53 + 1),
+    ("\x1e", "", "\x20", float("inf")),
+    (7,),
+]
 
 
 class TestDeriveSeed:
@@ -53,15 +71,38 @@ class TestDeriveRng:
 
 class TestUnitUniform:
     def test_in_unit_interval(self):
-        values = [unit_uniform("u", i) for i in range(1000)]
-        assert all(0.0 <= v < 1.0 for v in values)
+        values = unit_uniforms(1000, "u")
+        assert values.shape == (1000,)
+        assert ((0.0 <= values) & (values < 1.0)).all()
 
     def test_deterministic(self):
-        assert unit_uniform("oracle", 3, "q01", 5) == unit_uniform("oracle", 3, "q01", 5)
+        a = unit_uniforms(6, "oracle", 3, "q01")
+        np.testing.assert_array_equal(a, unit_uniforms(6, "oracle", 3, "q01"))
+        assert a[5] == unit_uniform("oracle", 3, "q01", 5)
 
     def test_roughly_uniform(self):
         # Coarse distribution check: mean near 1/2, mass in every decile.
-        values = np.array([unit_uniform("dist", i) for i in range(4000)])
+        values = unit_uniforms(4000, "dist")
         assert abs(values.mean() - 0.5) < 0.02
         counts, _ = np.histogram(values, bins=10, range=(0.0, 1.0))
         assert counts.min() > 300
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    @pytest.mark.parametrize("parts", FUZZ_PARTS, ids=range(len(FUZZ_PARTS)))
+    def test_batch_matches_the_scalar_draw_bit_for_bit(self, parts, n):
+        got = unit_uniforms(n, *parts)
+        want = np.array([unit_uniform(*parts, i) for i in range(n)], dtype=float)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+
+    def test_top_seeds_stay_below_one(self):
+        # seed / 2**64 rounds the top 2**10 seeds up to 1.0; they take the
+        # largest double below 1.0, as the next seed down already does.
+        below_one = math.nextafter(1.0, 0.0)
+        top = [2**64 - 1, 2**64 - 2**10]
+        assert [seed / 2.0**64 for seed in top] == [1.0, 1.0]
+        assert (2**64 - 2**10 - 1) / 2.0**64 == below_one
+        seeds = [*top, 2**64 - 2**10 - 1]
+        assert [_unit_interval(seed) for seed in seeds] == [below_one] * 3
+        as_array = _unit_interval(np.array(seeds, dtype=np.uint64))
+        assert as_array.tolist() == [below_one] * 3
