@@ -193,12 +193,7 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class _SeedContext:
-    """Everything about one re-split that does not depend on accuracy or k, and its solves.
-
-    The draws' flips are also held as one matrix (``flips``), so a cell counts
-    every query's correct pairs at once; the last solves at each k are held as
-    per-query arrays (``solved``).
-    """
+    """One re-split's parts that do not depend on accuracy or k, its flip matrix and its solves."""
 
     seed_index: int
     train: Dataset
@@ -219,11 +214,7 @@ class _SeedContext:
 
     @cached_property
     def flips(self) -> np.ndarray:
-        """Every query's flips as one (queries, pairs drawn) matrix.
-
-        A query whose references tie it drew fewer pairs; its row ends in NaN,
-        which lies below no accuracy.
-        """
+        """Every query's flips as one matrix; NaN pads a tied query's row, never judged correct."""
         flips = np.full((len(self.draws), max(d.flips.size for d in self.draws)), np.nan)
         for row, draws in zip(flips, self.draws):
             row[: draws.flips.size] = draws.flips
