@@ -410,7 +410,7 @@ def cmd_noise(args: argparse.Namespace) -> None:
     write_noise_csv(result, args.out)
     print(
         f"rank variance mean {result.rank_var_mean:.3f}, sd {result.rank_var_sd:.3f}; "
-        f"wrote {len(result.bs)} records -> {args.out}"
+        f"wrote {len({r.b for r in result.records})} records -> {args.out}"
     )
 
 

@@ -46,7 +46,8 @@ from .forest import ForestConfig, TrainedForest
 from .fusion import check_clamp_c, fuse, regularize_rank_variance, required_rank_variance
 from .rank import solve_rank_estimates
 from .rankers import (
-    OracleDraws, check_accuracy, draw_oracle, generate_comparisons, log_tied_references
+    OracleDraws, check_accuracy, draw_oracle, generate_comparisons, judged_correct,
+    log_tied_references,
 )
 from .seeding import derive_rng, derive_seed
 
@@ -202,9 +203,8 @@ class _SeedContext:
     reg: Estimate
     mae_reg: float
     draws: tuple[OracleDraws, ...]
-    # k -> the last solve of each query at k, in query order: (pairs judged
-    # correct, value, variance, clamped) arrays and a list of ComparisonSets.
-    # A count of -1 marks a query not yet solved at k.
+    # k -> each query's last solve at k, in query order: (pairs judged correct,
+    # ComparisonSet, RankEstimate), with a count of -1 before any solve.
     solved: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
@@ -274,42 +274,28 @@ class _Cell:
 def _compute_cell(ctx: _SeedContext, accuracy: float, k: int) -> _Cell:
     """Judge every test query's first k drawn pairs at one accuracy, then solve.
 
-    The pairs judged correct (``flips[:k] < accuracy``) nest as the accuracy
+    The pairs judged correct (``judged_correct``) nest as the accuracy
     grows, so their count names the set. One comparison over the context's
     flip matrix counts every query's; a query whose count matches the last
     solve at this k reuses that solve's comparisons and estimate. The other
-    queries' sets are built and solved in one batch, in query order, and their
-    results replace the earlier ones at k. The cell holds copies, so a later
-    cell never changes it.
+    queries' sets are built and solved in one batch, in query order, and only
+    then replace their entries at k. The cell builds its own arrays from the
+    estimates, so a later cell never changes it.
     """
-    check_accuracy(accuracy)  # a reused solve judges nothing, so check here
-    n = len(ctx.draws)
-    counts, value, variance, clamped, sets = ctx.solved.get(k) or (
-        np.full(n, -1), np.empty(n), np.empty(n), np.zeros(n, dtype=bool), [None] * n
-    )
-    n_correct = np.count_nonzero(ctx.flips[:, :k] < accuracy, axis=1)
-    fresh = np.flatnonzero(n_correct != counts).tolist()
+    n_correct = np.count_nonzero(judged_correct(ctx.flips[:, :k], accuracy), axis=1).tolist()
+    solved = ctx.solved.setdefault(k, [(-1, None, None)] * len(ctx.draws))
+    fresh = [i for i, (count, _, _) in enumerate(solved) if count != n_correct[i]]
     labels_by_id = ctx.train.labels_by_id()
     fresh_sets = [
         ComparisonSet.from_outcomes(generate_comparisons(ctx.draws[i], k, accuracy), labels_by_id)
         for i in fresh
     ]
-    estimates = solve_rank_estimates(fresh_sets)
-    counts[fresh] = n_correct[fresh]
-    value[fresh] = [est.value for est in estimates]
-    variance[fresh] = [est.variance for est in estimates]
-    clamped[fresh] = [est.clamped for est in estimates]
-    for i, comps in zip(fresh, fresh_sets):
-        sets[i] = comps
-    ctx.solved[k] = (counts, value, variance, clamped, sets)
-    return _Cell(
-        ctx=ctx,
-        accuracy=accuracy,
-        k=k,
-        comparisons=list(sets),
-        rank=Estimate(value.copy(), variance.copy()),
-        clamped=clamped.copy(),
-    )
+    for i, comps, est in zip(fresh, fresh_sets, solve_rank_estimates(fresh_sets)):
+        solved[i] = (n_correct[i], comps, est)
+    _, sets, estimates = zip(*solved)
+    rows = [(est.value, est.variance, est.clamped) for est in estimates]
+    value, variance, clamped = map(np.array, zip(*rows))
+    return _Cell(ctx, accuracy, k, list(sets), Estimate(value, variance), clamped)
 
 
 def _run_grid(
@@ -465,7 +451,7 @@ class NoiseRecord:
 
 @dataclass(frozen=True)
 class NoiseSweepResult:
-    """Betas under additive perturbation of the rank variances.
+    """Betas under additive perturbation of the rank variances, one record per seed and b.
 
     ``rank_var_mean``/``rank_var_sd`` describe the unperturbed variance
     estimates pooled over seeds and queries, which is the scale against
@@ -475,17 +461,6 @@ class NoiseSweepResult:
     records: tuple[NoiseRecord, ...]
     rank_var_mean: float
     rank_var_sd: float
-
-    @property
-    def bs(self) -> list[float]:
-        """The distinct perturbation half-widths, ascending."""
-        return sorted({r.b for r in self.records})
-
-    def mean_beta(self, b: float) -> float:
-        betas = [r.beta for r in self.records if r.b == b]
-        if not betas:
-            raise ValidationError(f"no records at b={b!r}")
-        return float(np.mean(betas))
 
 
 def run_noise_sweep(
@@ -567,5 +542,7 @@ def write_baseline_csv(records: Sequence[BaselineDeltaRecord], path: str | Path)
 
 
 def write_noise_csv(result: NoiseSweepResult, path: str | Path) -> None:
-    """Mean beta per perturbation half-width, averaged over seeds."""
-    write_table(path, ["b", "beta"], ((b, result.mean_beta(b)) for b in result.bs))
+    """Mean beta over the records of each distinct perturbation half-width, in ascending b."""
+    bs = sorted({r.b for r in result.records})
+    means = (float(np.mean([r.beta for r in result.records if r.b == b])) for b in bs)
+    write_table(path, ["b", "beta"], zip(bs, means))

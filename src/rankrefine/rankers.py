@@ -42,6 +42,12 @@ def check_accuracy(accuracy: float) -> None:
         raise ValidationError(f"oracle accuracy must lie in [0.5, 1.0], got {accuracy!r}")
 
 
+def judged_correct(flips: np.ndarray, accuracy: float) -> np.ndarray:
+    """Which pairs an oracle of this accuracy judges correctly: flip below it, never NaN."""
+    check_accuracy(accuracy)
+    return flips < accuracy
+
+
 @dataclass(frozen=True, eq=False)
 class OracleDraws:
     """One query's sampled references, true answers, flips and untied pool size."""
@@ -95,13 +101,13 @@ def generate_comparisons(draws: OracleDraws, k: int, accuracy: float) -> list[Co
     however far apart the two values are, so a higher accuracy flips a subset of
     a lower one's outcomes: sweeps stay paired.
     """
-    check_accuracy(accuracy)
+    correct = judged_correct(draws.flips[:k], accuracy)
     query, pool = draws.query_id, draws.n_eligible
     if k > pool:
         raise ValidationError(f"query {query!r}: k={k} exceeds the {pool} eligible references")
     if not 1 <= k <= len(draws.ref_ids):
         raise ValidationError(f"k={k} lies outside the {len(draws.ref_ids)} drawn pairs")
-    above = (draws.truth[:k] == (draws.flips[:k] < accuracy)).tolist()
+    above = (draws.truth[:k] == correct).tolist()
     # ComparisonOutcome's own __new__ is Python code; tuple.__new__ builds the
     # same named tuple in C, as ComparisonOutcome._make does.
     triples = zip(repeat(query), draws.ref_ids, above)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rankrefine import experiments, rank
+from rankrefine.cli import main
 from rankrefine.core import load_dataset_csv
 from rankrefine.errors import ValidationError
 from rankrefine.experiments import (
@@ -319,16 +320,23 @@ class TestCsvWriters:
         assert lines[0] == "dataset,seed,accuracy,k,beta_fused,beta_baseline,delta"
         assert len(lines) == len(recs) + 1
 
-    def test_noise_csv_layout(self, tmp_path):
+    def test_noise_csv_layout(self, tmp_path, capsys):
         result = run_noise_sweep(
-            _fast_dataset(), bs=(0.0, 1.0), k=5, accuracy=0.9, seeds=1,
+            _fast_dataset(), bs=(5.0, 0.0, 1.0, 0.0), k=5, accuracy=0.9, seeds=2,
             n_trees=FAST_TREES, master_seed=0,
         )
         path = tmp_path / "noise.csv"
         write_noise_csv(result, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("b,")
-        assert len(lines) >= 3
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(b) for b, _ in rows] == [0.0, 1.0, 5.0]  # one row per distinct b, ascending
+        for b, written in rows:
+            betas = [r.beta for r in result.records if r.b == float(b)]
+            assert float(written) == float(np.mean(betas))
+        argv = ["noise", "--synthetic-n", "75", "--synthetic-d", "4", "--k", "3", "--seeds", "1"]
+        assert main([*argv, "--bs", "0,1,0", "--out", str(tmp_path / "cli.csv")]) == 0
+        assert "wrote 2 records" in capsys.readouterr().out
 
     def test_numpy_floats_write_like_python_floats(self, tmp_path):
         def written(cast):

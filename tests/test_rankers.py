@@ -18,6 +18,7 @@ from rankrefine.rankers import (
     draw_oracle,
     generate_comparisons,
     interactive_rank,
+    judged_correct,
     llm_rank_batch,
     load_comparisons_csv,
     load_replay_transport,
@@ -27,7 +28,7 @@ from rankrefine.rankers import (
     render_prompt,
     save_comparisons_csv,
 )
-from rankrefine.seeding import derive_rng
+from rankrefine.seeding import derive_rng, unit_uniforms
 
 from conftest import unit_uniform
 
@@ -74,6 +75,19 @@ class TestOracle:
         for bad in (0.49, 1.01, float("nan")):
             with pytest.raises(ValidationError, match="oracle accuracy must lie in"):
                 check_accuracy(bad)
+
+    def test_judging_rule(self):
+        flips = unit_uniforms(200, "judge", 0)
+        flips[::7] = np.nan
+        judged = [judged_correct(flips, a) for a in (0.5, 0.62, 0.8, 0.95, 1.0)]
+        for correct in judged:
+            assert not correct[::7].any()  # a NaN flip is never correct
+        for lo, hi in zip(judged, judged[1:]):
+            assert np.all(hi[lo])  # correct at a lower accuracy stays correct
+        assert judged[-1].sum() == 200 - flips[::7].size  # every drawn flip lies below 1.0
+        for bad in (0.49, 1.01, float("nan")):
+            with pytest.raises(ValidationError, match="oracle accuracy must lie in"):
+                judged_correct(flips, bad)
 
     def test_perfect_oracle_always_truthful(self):
         refs = _refs([1.0] * 200)
