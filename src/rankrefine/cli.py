@@ -229,29 +229,34 @@ def cmd_refine(args: argparse.Namespace) -> None:
             )
     refined = [i for i, pid in enumerate(ids) if pid in grouped]
     # A generator, so the solver holds one chunk of comparison sets at a time.
+    # The comparisons are released once solved, before the output is written.
     estimates = solve_rank_estimates(
         ComparisonSet.from_outcomes(
             zip(repeat(ids[i]), grouped[ids[i]].keys(), grouped[ids[i]].values()), labels
         )
         for i in refined
     )
+    del grouped
     reg_var = reg.variance[refined]
     rank_var = np.array([est.variance for est in estimates])
     if args.clamp_c > 0:
         rank_var = regularize_rank_variance(rank_var, reg_var, args.clamp_c)
     rank = Estimate(np.array([est.value for est in estimates]), rank_var)
     fused = fuse(Estimate(reg.value[refined], reg_var), rank)
+    clamped = ["true" if est.clamped else "false" for est in estimates]
 
-    # Queries without comparisons pass through with empty rank cells.
-    rows = [[pid, y, v, "", "", y, v, ""] for pid, y, v in zip(ids, reg.value, reg.variance)]
-    for j, (i, est) in enumerate(zip(refined, estimates)):
-        rows[i][3:] = [
-            rank.value[j],
-            rank.variance[j],
-            fused.value[j],
-            fused.variance[j],
-            "true" if est.clamped else "false",
-        ]
+    # Rows stream to the writer in input order. Queries without comparisons
+    # pass through with empty rank cells.
+    ranked = zip(
+        rank.value.tolist(), rank.variance.tolist(), fused.value.tolist(),
+        fused.variance.tolist(), clamped,
+    )
+    has_rank = np.zeros(len(ids), dtype=bool)
+    has_rank[refined] = True
+    rows = (
+        (pid, y, v, *next(ranked)) if ok else (pid, y, v, "", "", y, v, "")
+        for pid, y, v, ok in zip(ids, reg.value.tolist(), reg.variance.tolist(), has_rank.tolist())
+    )
     write_table(args.out, REFINE_HEADER, rows)
     print(f"refined {len(refined)} of {len(ids)} predictions -> {args.out}")
 
@@ -281,13 +286,15 @@ def _rank_oracle(args: argparse.Namespace) -> None:
 
 def _rank_file(args: argparse.Namespace) -> None:
     grouped = load_comparisons_csv(args.comparisons, load_references_csv(args.references))
-    outcomes = [
-        ComparisonOutcome(qid, rid, above)
-        for qid, judged in grouped.items()
-        for rid, above in judged.items()
-    ]
-    save_comparisons_csv(outcomes, args.out)
-    print(f"validated {len(outcomes)} comparisons -> {args.out}")
+    save_comparisons_csv(
+        (
+            ComparisonOutcome(qid, rid, above)
+            for qid, judged in grouped.items()
+            for rid, above in judged.items()
+        ),
+        args.out,
+    )
+    print(f"validated {sum(map(len, grouped.values()))} comparisons -> {args.out}")
 
 
 def _rank_interactive(args: argparse.Namespace) -> None:

@@ -320,7 +320,7 @@ def read_table(
 def _table_rows(path: Path, required: Sequence[str], numeric: Collection[str], key: str | None):
     # Yields the header first, so that read_table raises header errors itself.
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -422,7 +422,7 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
     that cannot be written is a DataError naming it.
     """
     try:
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             for row in rows:

@@ -136,6 +136,9 @@ def load_comparisons_csv(
         raise DataError(
             f"{path}: expected header {','.join(COMPARISONS_HEADER)}, got {','.join(header)}"
         )
+    # Every row keys its judgement by the references' own id string, so a
+    # reference id is held once however many rows name it.
+    shared_ids = {rid: rid for rid in labels_by_id}
     grouped: dict[str, dict[str, bool]] = {}
     for line, (query_id, ref_id, outcome) in rows:
         query_id, ref_id, outcome = query_id.strip(), ref_id.strip(), outcome.strip()
@@ -145,7 +148,8 @@ def load_comparisons_csv(
             raise DataError(
                 f"{path}: row {line}, column 'outcome': outcome must be 0 or 1, got {outcome!r}"
             )
-        if ref_id not in labels_by_id:
+        ref = shared_ids.get(ref_id)
+        if ref is None:
             raise DataError(
                 f"{path}: row {line}, column 'ref_id': unknown reference id {ref_id!r}"
             )
@@ -155,7 +159,7 @@ def load_comparisons_csv(
                 f"{path}: row {line}, column 'ref_id': duplicate comparison for pair "
                 f"{(query_id, ref_id)}"
             )
-        judged[ref_id] = outcome == "1"
+        judged[ref] = outcome == "1"
     return grouped
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,29 @@ class TestComparisonsCsv:
         path.write_text("query_id,ref_id,outcome\nq,mystery,1\n")
         with pytest.raises(DataError):
             load_comparisons_csv(path, {"a": 1.0})
+
+
+    def test_rows_are_held_in_bounded_memory(self, tmp_path):
+        # 400 queries, each judged against 25 of 300 references: 10,000 rows.
+        rng = np.random.default_rng(28)
+        labels = {f"r{i:03d}": float(i) for i in range(300)}
+        refs = list(labels)
+        lines = ["query_id,ref_id,outcome"]
+        for q in range(400):
+            for r in rng.choice(len(refs), size=25, replace=False):
+                lines.append(f"q{q:03d},{refs[r]},{int(rng.random() < 0.5)}")
+        path = tmp_path / "comp.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grouped = load_comparisons_csv(path, labels)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = sum(map(len, grouped.values()))
+        assert rows == 10_000
+        assert held / rows <= 50, f"{held / rows:.1f} B held per comparison row"
 
 
 class TestInteractive:

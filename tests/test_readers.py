@@ -1,5 +1,7 @@
 """Every CSV input format rejects malformed files with a located DataError."""
 
+import codecs
+
 import pytest
 
 from rankrefine.cli import _load_predictions, _load_table, main
@@ -79,6 +81,27 @@ def test_malformed_file_raises_located_data_error(fmt, content, fragments, tmp_p
     assert message.startswith(str(path))
     for fragment in fragments:
         assert fragment in message
+
+
+# One valid file per format; its first header cell is the one a byte-order mark would hide.
+VALID = {
+    "predictions": "id,y_reg,var_reg\nq1,1.0,0.5\nq2,2.0,1.5\n",
+    "references": "id,y\nr1,1.0\nr2,2.0\n",
+    "dataset": "id,x0,y\na,0.5,1.0\nb,0.6,2.0\n",
+    "comparisons": "query_id,ref_id,outcome\nq,r1,1\nq,r2,0\n",
+    "queries": "id,y,text\nq1,1.0,first\nq2,2.0,second\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VALID))
+def test_byte_order_mark_reads_as_the_plain_file(fmt, tmp_path):
+    # Excel's "CSV UTF-8" files start with a UTF-8 byte-order mark.
+    plain, marked = tmp_path / "plain" / f"{fmt}.csv", tmp_path / "marked" / f"{fmt}.csv"
+    plain.parent.mkdir()
+    marked.parent.mkdir()
+    plain.write_bytes(VALID[fmt].encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + VALID[fmt].encode("utf-8"))
+    assert repr(LOADERS[fmt](marked)) == repr(LOADERS[fmt](plain))
 
 
 def test_missing_file_is_data_error(tmp_path):
