@@ -15,7 +15,6 @@ from .core import (
     ComparisonSet,
     Dataset,
     Estimate,
-    SplitSpec,
     beta,
     load_dataset_csv,
     load_references_csv,
@@ -32,7 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .forest import (
-    ForestConfig,
     TrainedForest,
     fit,
     predict_with_variance_matrix,
@@ -79,7 +77,6 @@ __all__ = [
     "Dataset",
     "DataError",
     "Estimate",
-    "ForestConfig",
     "FusedEstimate",
     "LlmRankerConfig",
     "NumericError",
@@ -87,7 +84,6 @@ __all__ = [
     "RankEstimate",
     "RankRefineError",
     "ReplayTransport",
-    "SplitSpec",
     "SweepGrid",
     "SweepRecord",
     "TrainedForest",

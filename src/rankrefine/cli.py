@@ -27,6 +27,7 @@ from .core import (
     Estimate,
     load_dataset_csv,
     load_references_csv,
+    open_input,
     pra,
     read_table,
     save_dataset_csv,
@@ -316,6 +317,11 @@ def _rank_interactive(args: argparse.Namespace) -> None:
     print(f"collected {len(outcomes)} comparisons -> {args.out}")
 
 
+def _read_text(path: str) -> str:
+    with open_input(path) as handle:
+        return handle.read()
+
+
 def _rank_llm(args: argparse.Namespace) -> None:
     if args.k < 0:
         raise ValidationError(f"k must be >= 0 (0 means every reference), got {args.k}")
@@ -329,9 +335,9 @@ def _rank_llm(args: argparse.Namespace) -> None:
             raise DataError(f"{args.references}: reference {rid!r} has no text to rank by")
 
     template = (
-        Path(args.prompt_template).read_text() if args.prompt_template else DEFAULT_PROMPT_TEMPLATE
+        _read_text(args.prompt_template) if args.prompt_template else DEFAULT_PROMPT_TEMPLATE
     )
-    examples = Path(args.examples).read_text() if args.examples else ""
+    examples = _read_text(args.examples) if args.examples else ""
     config = LlmRankerConfig(
         endpoint_url=args.endpoint,
         model_name=args.model,

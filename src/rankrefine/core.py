@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -204,34 +205,24 @@ class Dataset:
         return dict(zip(self.ids, self.y.tolist()))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """How to carve train/test splits out of a dataset."""
-
-    train_size: int = 50
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.train_size < 1:
-            raise ValidationError(f"train_size must be >= 1, got {self.train_size}")
-
-
-def resplit(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def resplit(dataset: Dataset, *, train_size: int = 50, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Draw a small training split; everything else becomes the test split.
 
     Training rows are sampled uniformly without replacement. The split is a
     partition (no overlap, nothing dropped) and is deterministic for a fixed
     (dataset, seed). Row order within each side follows the original dataset.
     """
+    if train_size < 1:
+        raise ValidationError(f"train_size must be >= 1, got {train_size}")
     n = len(dataset)
-    if n < spec.train_size + 1:
+    if n < train_size + 1:
         raise ValidationError(
-            f"dataset has {n} rows; need at least train_size + 1 = {spec.train_size + 1}"
+            f"dataset has {n} rows; need at least train_size + 1 = {train_size + 1}"
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    train_idx = np.sort(perm[: spec.train_size])
-    test_idx = np.sort(perm[spec.train_size :])
+    train_idx = np.sort(perm[:train_size])
+    test_idx = np.sort(perm[train_size:])
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
@@ -319,12 +310,7 @@ def read_table(
 
 def _table_rows(path: Path, required: Sequence[str], numeric: Collection[str], key: str | None):
     # Yields the header first, so that read_table raises header errors itself.
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
+    with open_input(path, table=True) as reader:
         first = next((row for row in reader if row), None)
         if first is None:
             raise DataError(f"{path}: empty file, expected a header row")
@@ -429,6 +415,24 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
                 writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+@contextmanager
+def open_input(path: str | Path, table: bool = False) -> Iterator:
+    """Open an input file as UTF-8, dropping a byte-order mark; the one opener of every input.
+
+    Yields a ``csv.reader`` over the file if ``table``, else the text. A file
+    that cannot be opened, decoded or parsed as CSV is a DataError naming the
+    path, and the row a CSV parse failed at.
+    """
+    reader = None
+    try:
+        with open(path, newline="" if table else None, encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle) if table else None
+            yield reader if table else handle
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        row = f"row {reader.line_num}: " if isinstance(exc, csv.Error) else ""
+        raise DataError(f"{path}: {row}cannot read: {exc}") from exc
 
 
 def load_references_csv(path: str | Path) -> dict[str, float]:

@@ -35,14 +35,13 @@ from .core import (
     ComparisonSet,
     Dataset,
     Estimate,
-    SplitSpec,
     beta,
     mae,
     resplit,
     write_table,
 )
 from .errors import ValidationError
-from .forest import ForestConfig, TrainedForest
+from .forest import TrainedForest
 from .fusion import check_clamp_c, fuse, regularize_rank_variance, required_rank_variance
 from .rank import solve_rank_estimates
 from .rankers import (
@@ -230,10 +229,12 @@ def _build_seed_context(
     k: int,
 ) -> _SeedContext:
     """Fit one re-split and draw each test query's oracle pairs for cells up to k."""
-    split = SplitSpec(train_size=train_size, seed=derive_seed("split", master_seed, seed_index))
-    train, test = resplit(dataset, split)
-    config = ForestConfig(n_trees=n_trees, seed=derive_seed("forest-seed", master_seed, seed_index))
-    model = forest_mod.fit(train, config)
+    train, test = resplit(
+        dataset, train_size=train_size, seed=derive_seed("split", master_seed, seed_index)
+    )
+    model = forest_mod.fit(
+        train, n_trees=n_trees, seed=derive_seed("forest-seed", master_seed, seed_index)
+    )
     reg_values, reg_variances = forest_mod.predict_with_variance_matrix(
         model, test.features
     )

@@ -50,20 +50,6 @@ VARIANCE_FLOOR = 1e-9
 _BLOCK_ELEMENTS = 4096
 
 
-@dataclass(frozen=True)
-class ForestConfig:
-    """Size and seed of a forest of fully deep bagged trees."""
-
-    n_trees: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 2:
-            raise ValidationError(
-                f"n_trees must be >= 2 for an ensemble variance, got {self.n_trees}"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
     """One CART tree as parallel node arrays; ``feature == -1`` marks a leaf.
@@ -206,19 +192,19 @@ def _leaf_means(y: np.ndarray, rows: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return means
 
 
-def fit(train: Dataset, config: ForestConfig = ForestConfig()) -> TrainedForest:
-    """Grow the forest on the training split.
+def fit(train: Dataset, *, n_trees: int = 100, seed: int = 0) -> TrainedForest:
+    """Grow a forest of ``n_trees`` fully deep bagged trees on the training split.
 
-    Tree t draws its bootstrap rows from the substream
-    ("forest", config.seed, t), independent of every other tree. Raises
-    NumericError when a node's label sums overflow float64.
+    Tree t draws its bootstrap rows from the substream ("forest", seed, t),
+    independent of every other tree. Raises NumericError when a node's label
+    sums overflow float64.
     """
+    if n_trees < 2:
+        raise ValidationError(f"n_trees must be >= 2 for an ensemble variance, got {n_trees}")
     if len(train) < 2:
         raise ValidationError(f"need at least 2 training rows, got {len(train)}")
     n = len(train)
-    samples = [
-        derive_rng("forest", config.seed, t).integers(0, n, size=n) for t in range(config.n_trees)
-    ]
+    samples = [derive_rng("forest", seed, t).integers(0, n, size=n) for t in range(n_trees)]
     return TrainedForest(
         trees=_grow_forest(train.features, train.y, samples), n_features=train.n_features
     )

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .core import ComparisonOutcome, read_table, write_table
+from .core import ComparisonOutcome, open_input, read_table, write_table
 from .errors import DataError, TransportError, ValidationError
 from .seeding import unit_uniforms
 
@@ -360,13 +360,11 @@ def load_replay_transport(path: str | Path) -> ReplayTransport:
     import json
 
     path = Path(path)
-    try:
-        with open(path) as handle:
+    with open_input(path) as handle:
+        try:
             data = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("responses")
     if not isinstance(data, list) or not all(isinstance(r, str) for r in data):

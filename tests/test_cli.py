@@ -632,6 +632,29 @@ class TestRankLlmReplay:
         assert code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--replay", "--prompt-template", "--examples"])
+    @pytest.mark.parametrize("problem", ["missing", "directory", "non-UTF-8"])
+    def test_unreadable_input_exits_3_naming_it(self, flag, problem, tmp_path, capsys):
+        queries, references, _ = self._inputs(tmp_path)
+        path = tmp_path / "input"
+        if problem == "directory":
+            path.mkdir()
+        elif problem == "non-UTF-8":
+            path.write_bytes(b'["caf\xe9"]')
+        replay = [] if flag == "--replay" else ["--replay", str(REPLAY_FIXTURE)]
+        code = main([
+            "rank", "--source", "llm", "--queries", queries,
+            "--references", references,
+            "--endpoint", "https://example.invalid", "--model", "m",
+            *replay, flag, str(path),
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {path}: cannot read: ")
+
 
 SMALL_DATA = [
     "--synthetic-n", "75", "--synthetic-d", "4", "--synthetic-noise-sd", "1.0",

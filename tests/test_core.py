@@ -10,7 +10,6 @@ from rankrefine.core import (
     ComparisonSet,
     Dataset,
     Estimate,
-    SplitSpec,
     beta,
     load_dataset_csv,
     load_references_csv,
@@ -195,25 +194,25 @@ class TestDataset:
 class TestResplit:
     def test_partition_and_sizes(self):
         ds = _dataset(n=60)
-        train, test = resplit(ds, SplitSpec(train_size=50, seed=3))
+        train, test = resplit(ds, train_size=50, seed=3)
         assert len(train) == 50 and len(test) == 10
         assert set(train.ids) | set(test.ids) == set(ds.ids)
         assert set(train.ids) & set(test.ids) == set()
 
     def test_deterministic_in_seed(self):
         ds = _dataset(n=80)
-        t1, _ = resplit(ds, SplitSpec(train_size=50, seed=11))
-        t2, _ = resplit(ds, SplitSpec(train_size=50, seed=11))
+        t1, _ = resplit(ds, train_size=50, seed=11)
+        t2, _ = resplit(ds, train_size=50, seed=11)
         assert t1.ids == t2.ids
 
     def test_seed_changes_split(self):
         ds = _dataset(n=80)
-        picked = {resplit(ds, SplitSpec(train_size=50, seed=s))[0].ids for s in range(8)}
+        picked = {resplit(ds, train_size=50, seed=s)[0].ids for s in range(8)}
         assert len(picked) == 8
 
     def test_rows_keep_alignment(self):
         ds = _dataset(n=70)
-        train, test = resplit(ds, SplitSpec(train_size=50, seed=2))
+        train, test = resplit(ds, train_size=50, seed=2)
         lookup = {i: (tuple(f), v) for i, f, v in zip(ds.ids, ds.features, ds.y)}
         for part in (train, test):
             for i, f, v in zip(part.ids, part.features, part.y):
@@ -222,7 +221,11 @@ class TestResplit:
     def test_too_small_dataset_rejected(self):
         ds = _dataset(n=50)
         with pytest.raises(ValidationError):
-            resplit(ds, SplitSpec(train_size=50, seed=0))
+            resplit(ds, train_size=50, seed=0)
+
+    def test_empty_training_split_rejected(self):
+        with pytest.raises(ValidationError, match="train_size must be >= 1, got 0"):
+            resplit(_dataset(n=10), train_size=0)
 
 
 class TestMetrics:

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from rankrefine import forest as forest_mod
-from rankrefine.core import Dataset, SplitSpec, mae, resplit
+from rankrefine.core import Dataset, mae, resplit
 from rankrefine.errors import NumericError, ValidationError
 from rankrefine.experiments import make_synthetic_dataset
 from rankrefine.forest import (
-    ForestConfig,
     RegressionTree,
     TrainedForest,
     _best_splits,
@@ -260,19 +259,18 @@ class TestSplitContract:
     @pytest.mark.parametrize("seed_index", range(5))
     def test_trees_bit_identical_to_scalar_reference(self, seed_index):
         ds = make_synthetic_dataset()
-        train, test = resplit(ds, SplitSpec(train_size=50, seed=derive_seed("split", 0, seed_index)))
-        config = ForestConfig(seed=derive_seed("forest-seed", 0, seed_index))
-        model = fit(train, config)
+        train, test = resplit(ds, train_size=50, seed=derive_seed("split", 0, seed_index))
+        seed = derive_seed("forest-seed", 0, seed_index)
+        model = fit(train, seed=seed)
         assert len(model.trees) == 100
-        _assert_matches_reference(model, train, config.seed, test.features)
+        _assert_matches_reference(model, train, seed, test.features)
 
     def test_block_budget_does_not_change_the_forest(self, monkeypatch):
         # One node per search block and one tree per walk block.
         ds = make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1)
-        config = ForestConfig(n_trees=10, seed=3)
-        model = fit(ds, config)
+        model = fit(ds, n_trees=10, seed=3)
         monkeypatch.setattr(forest_mod, "_BLOCK_ELEMENTS", 1)
-        small = fit(ds, config)
+        small = fit(ds, n_trees=10, seed=3)
         for ours, theirs in zip(model.trees, small.trees):
             for name in ("feature", "threshold", "value"):
                 assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
@@ -280,7 +278,7 @@ class TestSplitContract:
 
     def test_nodes_are_numbered_breadth_first(self):
         # Breadth-first, the i-th split node's children are nodes 2i + 1 and 2i + 2.
-        model = fit(make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1), ForestConfig(seed=2))
+        model = fit(make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1), seed=2)
         for tree in model.trees:
             split = tree.feature >= 0
             n_split = int(split.sum())
@@ -326,7 +324,7 @@ class TestSplitContract:
         y = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 7.0])
         assert _kernel(X, y, [np.arange(6)]) == [None]
         ds = Dataset(ids=tuple(f"r{i}" for i in range(6)), features=X, y=y)
-        model = fit(ds, ForestConfig(n_trees=3, seed=5))
+        model = fit(ds, n_trees=3, seed=5)
         for t, tree in enumerate(model.trees):
             rows = derive_rng("forest", 5, t).integers(0, 6, size=6)
             assert list(tree.feature) == [-1]
@@ -339,14 +337,14 @@ class TestSplitContract:
         ds = Dataset(ids=tuple(f"r{i}" for i in range(8)), features=X, y=y)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fit(ds, ForestConfig(n_trees=3, seed=0))
+            model = fit(ds, n_trees=3, seed=0)
         _assert_matches_reference(model, ds, 0, X)
 
     def test_overflowing_label_sums_raise(self):
         ds = make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1)
         huge = Dataset(ids=ds.ids, features=ds.features, y=ds.y * 1e200)
         with pytest.raises(NumericError, match="overflow"):
-            fit(huge, ForestConfig(n_trees=5, seed=0))
+            fit(huge, n_trees=5, seed=0)
 
 
 class TestPredictWalk:
@@ -414,35 +412,35 @@ class TestPredictWalk:
     def test_zero_rows_keep_the_tree_axis(self):
         model = TrainedForest(trees=(_leaf_tree(0.0), _leaf_tree(2.0), _leaf_tree(4.0)), n_features=3)
         assert predict_matrix(model, np.zeros((0, 3))).shape == (3, 0)
-        fitted = fit(_step_dataset(), ForestConfig(n_trees=4, seed=0))
+        fitted = fit(_step_dataset(), n_trees=4, seed=0)
         assert predict_matrix(fitted, np.zeros((0, 1))).shape == (4, 0)
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            ForestConfig(n_trees=1)
+        with pytest.raises(ValidationError, match="n_trees must be >= 2 .*, got 1"):
+            fit(_step_dataset(), n_trees=1)
 
 
 class TestFit:
     def test_learns_a_step_function(self):
         ds = _step_dataset()
-        model = fit(ds, ForestConfig(n_trees=20, seed=1))
+        model = fit(ds, n_trees=20, seed=1)
         values, _ = predict_with_variance_matrix(model, ds.features)
         np.testing.assert_allclose(values, ds.y, atol=1e-12)
 
     def test_deterministic_in_seed(self):
         ds = make_synthetic_dataset(n=80, d=4, noise_sd=0.5, seed=1)
         grid = np.linspace(-1, 1, 30).reshape(-1, 1) * np.ones((1, 4))
-        a, _ = predict_with_variance_matrix(fit(ds, ForestConfig(n_trees=10, seed=3)), grid)
-        b, _ = predict_with_variance_matrix(fit(ds, ForestConfig(n_trees=10, seed=3)), grid)
+        a, _ = predict_with_variance_matrix(fit(ds, n_trees=10, seed=3), grid)
+        b, _ = predict_with_variance_matrix(fit(ds, n_trees=10, seed=3), grid)
         np.testing.assert_array_equal(a, b)
-        c, _ = predict_with_variance_matrix(fit(ds, ForestConfig(n_trees=10, seed=4)), grid)
+        c, _ = predict_with_variance_matrix(fit(ds, n_trees=10, seed=4), grid)
         assert not np.array_equal(a, c)
 
     def test_predictions_within_label_range(self):
         ds = make_synthetic_dataset(n=80, d=3, noise_sd=1.0, seed=2)
-        model = fit(ds, ForestConfig(n_trees=10, seed=0))
+        model = fit(ds, n_trees=10, seed=0)
         rng = np.random.default_rng(0)
         X = rng.uniform(-2, 2, size=(50, 3))
         values, _ = predict_with_variance_matrix(model, X)
@@ -450,7 +448,7 @@ class TestFit:
 
     def test_feature_count_checked_at_predict(self):
         ds = _step_dataset()
-        model = fit(ds, ForestConfig(n_trees=2, seed=0))
+        model = fit(ds, n_trees=2, seed=0)
         with pytest.raises(ValidationError):
             predict_with_variance_matrix(model, np.zeros((3, 2)))
 
@@ -478,8 +476,8 @@ class TestVariance:
 class TestAgainstReferenceImplementation:
     def test_mae_close_to_frozen_sklearn_run(self):
         ds = make_synthetic_dataset()
-        train, test = resplit(ds, SplitSpec(train_size=50, seed=derive_seed("split", 0, 0)))
-        model = fit(train, ForestConfig(seed=derive_seed("forest-seed", 0, 0)))
+        train, test = resplit(ds, train_size=50, seed=derive_seed("split", 0, 0))
+        model = fit(train, seed=derive_seed("forest-seed", 0, 0))
         values, _ = predict_with_variance_matrix(model, test.features)
         ours = mae(values, test.y)
         assert ours <= 1.10 * SKLEARN_REFERENCE_MAE

@@ -17,7 +17,13 @@ LOADERS = {
     "queries": _load_table,
 }
 
-# (format, case, file content, fragments the message must contain besides the path)
+# Past the csv module's default field size limit of 131,072 characters.
+LONG = "1" * 131_073
+NOT_UTF8 = ["cannot read", "can't decode byte 0xe9"]
+TOO_LONG = ["row 2: cannot read", "field larger than field limit"]
+
+# (format, case, file content, fragments the message must contain besides the path);
+# bytes content is written as it stands.
 CASES = [
     ("predictions", "empty", "", ["empty file"]),
     ("predictions", "missing column", "id,y_reg\nq1,1.0\n", ["'var_reg'"]),
@@ -32,6 +38,8 @@ CASES = [
      ["row 3", "'var_reg'"]),
     ("predictions", "empty id", "id,y_reg,var_reg\nq1,1.0,1.0\n,2.0,1.0\n",
      ["row 3", "column 'id': empty id"]),
+    ("predictions", "non-UTF-8", b"id,y_reg,var_reg\nq\xe91,1.0,1.0\n", NOT_UTF8),
+    ("predictions", "over-long cell", f"id,y_reg,var_reg\nq1,{LONG},1.0\n", TOO_LONG),
     ("references", "empty", "\n\n", ["empty file"]),
     ("references", "missing column", "id,label\nr1,1.0\n", ["'y'"]),
     ("references", "short row", "id,y\nr1\n", ["row 2"]),
@@ -39,6 +47,9 @@ CASES = [
     ("references", "non-finite", "id,y\nr1,nan\n", ["row 2", "'y'"]),
     ("references", "duplicate id", "id,y\nr1,1.0\nr2,2.0\nr1,3.0\n", ["row 4", "'id'"]),
     ("references", "empty id", "id,y\n,1.0\n", ["row 2", "column 'id': empty id"]),
+    ("references", "non-UTF-8", b"id,y\nr\xe91,1.0\n", NOT_UTF8),
+    # An unclosed quote runs its cell on through the rest of the file.
+    ("references", "over-long cell", 'id,y\n"r1,1.0\n' + "r2,2.0\n" * 20_000, TOO_LONG[1:]),
     ("dataset", "empty", "", ["empty file"]),
     ("dataset", "missing column", "id,x0\na,0.5\n", ["'y'"]),
     ("dataset", "short row", "id,x0,y\na,0.5,1.0\nb,0.5\n", ["row 3"]),
@@ -46,6 +57,8 @@ CASES = [
     ("dataset", "non-finite", "id,x0,y\n\n\na,0.5,-inf\n", ["row 4", "'y'"]),
     ("dataset", "duplicate id", "id,x0,y\na,0.5,1.0\na,0.6,2.0\n", ["row 3", "'id'"]),
     ("dataset", "empty id", "id,x0,y\na,0.5,1.0\n ,0.6,2.0\n", ["row 3", "column 'id': empty id"]),
+    ("dataset", "non-UTF-8", b"id,x0,y\n\xe9,0.5,1.0\n", NOT_UTF8),
+    ("dataset", "over-long cell", f"id,x0,y\na,{LONG},1.0\n", TOO_LONG),
     ("comparisons", "empty", "", ["empty file"]),
     ("comparisons", "missing column", "query_id,ref_id\nq,r1\n", ["outcome"]),
     ("comparisons", "short row", "query_id,ref_id,outcome\nq,r1,1\nq,r2\n", ["row 3"]),
@@ -57,6 +70,8 @@ CASES = [
      ["row 4", "column 'ref_id'", "unknown", "'r9'"]),
     ("comparisons", "empty query id", "query_id,ref_id,outcome\nq,r1,1\n ,r2,0\n",
      ["row 3", "column 'query_id': empty id"]),
+    ("comparisons", "non-UTF-8", b"query_id,ref_id,outcome\nq\xe9,r1,1\n", NOT_UTF8),
+    ("comparisons", "over-long cell", f"query_id,ref_id,outcome\n{LONG},r1,1\n", TOO_LONG),
     ("queries", "empty", "", ["empty file"]),
     ("queries", "missing column", "name,y\nq1,1.0\n", ["'id'"]),
     ("queries", "short row", "id,y,text\nq1,1.0\n", ["row 2"]),
@@ -64,7 +79,16 @@ CASES = [
     ("queries", "non-finite", "id,y\nq1,inf\n", ["row 2", "'y'"]),
     ("queries", "duplicate id", "id,text\nq1,a\nq1,b\n", ["row 3", "'id'"]),
     ("queries", "empty id", "id,text\n,a\n", ["row 2", "column 'id': empty id"]),
+    ("queries", "non-UTF-8", b"id,text\nq1,caf\xe9\n", NOT_UTF8),
+    ("queries", "over-long cell", f"id,text\nq1,{LONG}\n", TOO_LONG),
 ]
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
 
 
 @pytest.mark.parametrize(
@@ -74,7 +98,7 @@ CASES = [
 )
 def test_malformed_file_raises_located_data_error(fmt, content, fragments, tmp_path):
     path = tmp_path / f"{fmt}.csv"
-    path.write_text(content)
+    _write(path, content)
     with pytest.raises(DataError) as info:
         LOADERS[fmt](path)
     message = str(info.value)
@@ -116,7 +140,7 @@ def test_missing_file_is_data_error(tmp_path):
 )
 def test_refine_exits_3_on_malformed_predictions(content, tmp_path, capsys):
     predictions = tmp_path / "pred.csv"
-    predictions.write_text(content)
+    _write(predictions, content)
     references = tmp_path / "refs.csv"
     references.write_text("id,y\nr1,1.0\n")
     comparisons = tmp_path / "comp.csv"
