@@ -57,6 +57,7 @@ from .rankers import (
     interactive_rank,
     llm_rank_batch,
     load_comparisons_csv,
+    make_http_transport,
     save_comparisons_csv,
 )
 from .experiments import (
@@ -103,6 +104,7 @@ __all__ = [
     "load_dataset_csv",
     "load_references_csv",
     "mae",
+    "make_http_transport",
     "make_synthetic_dataset",
     "pra",
     "predict_with_variance_matrix",

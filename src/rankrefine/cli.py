@@ -60,6 +60,7 @@ from .rankers import (
     load_comparisons_csv,
     load_replay_transport,
     log_tied_references,
+    make_http_transport,
     save_comparisons_csv,
 )
 from .seeding import derive_rng
@@ -339,10 +340,7 @@ def _rank_llm(args: argparse.Namespace) -> None:
     )
     examples = _read_text(args.examples) if args.examples else ""
     config = LlmRankerConfig(
-        endpoint_url=args.endpoint,
-        model_name=args.model,
         prompt_template=template,
-        api_key_env_var=args.api_key_env,
         property_description=args.property,
         examples=examples,
         batch_size=args.batch_size,
@@ -351,19 +349,18 @@ def _rank_llm(args: argparse.Namespace) -> None:
     if args.replay:
         transport = load_replay_transport(args.replay)
     else:
-        if not os.environ.get(config.api_key_env_var):
+        transport = make_http_transport(args.endpoint, args.model, args.api_key_env)
+        if not os.environ.get(args.api_key_env):
             raise TransportError(
-                f"environment variable {config.api_key_env_var} is not set; "
+                f"environment variable {args.api_key_env} is not set; "
                 "the API key is only ever read from it"
             )
-        transport = None
 
     pair_ids: list[tuple[str, str]] = []
     for qid in query_ids:
         chosen = list(ref_ids)
         if args.k and args.k < len(chosen):
-            rng = derive_rng("refs", args.seed, qid)
-            order = rng.permutation(len(chosen))
+            order = derive_rng("refs", args.seed, qid).permutation(len(chosen))
             chosen = [chosen[i] for i in order[: args.k]]
         pair_ids.extend((qid, rid) for rid in chosen)
     pairs = [(query_texts[qid], ref_texts[rid]) for qid, rid in pair_ids]
@@ -499,12 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="sampling / oracle seed")
     p.add_argument("--accuracy", type=float, default=0.8, help="oracle accuracy")
     p.add_argument("--property", default="the property of interest", help="property name")
-    p.add_argument("--endpoint", default="", help="chat-completion endpoint URL (llm)")
-    p.add_argument("--model", default="", help="model name (llm)")
+    p.add_argument(
+        "--endpoint", default="", help="chat-completion endpoint URL (llm; not read with --replay)"
+    )
+    p.add_argument("--model", default="", help="model name (llm; not read with --replay)")
     p.add_argument(
         "--api-key-env",
         default="RANKREFINE_API_KEY",
-        help="environment variable holding the API key (llm)",
+        help="environment variable holding the API key (llm; not read with --replay)",
     )
     p.add_argument("--prompt-template", default=None, help="prompt template file (llm)")
     p.add_argument("--examples", default=None, help="few-shot examples file (llm)")

@@ -423,16 +423,35 @@ def open_input(path: str | Path, table: bool = False) -> Iterator:
 
     Yields a ``csv.reader`` over the file if ``table``, else the text. A file
     that cannot be opened, decoded or parsed as CSV is a DataError naming the
-    path, and the row a CSV parse failed at.
+    path, and the row where a CSV record that cannot be parsed begins.
     """
-    reader = None
     try:
         with open(path, newline="" if table else None, encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle) if table else None
-            yield reader if table else handle
+            yield csv.reader(handle) if table else handle
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        row = f"row {reader.line_num}: " if isinstance(exc, csv.Error) else ""
-        raise DataError(f"{path}: {row}cannot read: {exc}") from exc
+        reason, row = _read_again(path, exc)
+        raise DataError(f"{path}: {row}cannot read: {reason}") from exc
+
+
+def _read_again(path: str | Path, exc: Exception) -> tuple[Exception, str]:
+    # Reads a file that failed again, so that reads that succeed track no
+    # position: a text stream counts a bad byte from the start of the chunk
+    # it was decoding, and a csv.reader is past where a failing record began.
+    try:
+        if isinstance(exc, UnicodeDecodeError):
+            Path(path).read_bytes().decode("utf-8")
+        elif isinstance(exc, csv.Error):
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                reader, start = csv.reader(handle), 1
+                for _ in reader:
+                    start = reader.line_num + 1
+    except UnicodeDecodeError as again:
+        return again, ""
+    except csv.Error:
+        return exc, f"row {start}: "
+    except OSError:
+        pass
+    return exc, ""
 
 
 def load_references_csv(path: str | Path) -> dict[str, float]:

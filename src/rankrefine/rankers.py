@@ -9,7 +9,9 @@ Rankers work in ids and never see the solver: each returns outcomes keyed
 by (query id, reference id), or, for the LLM, answers keyed by pair
 position. Callers resolve one query's ids to the labels of a
 ``ComparisonSet`` only where they solve. The oracle draws references and
-flips once (``draw_oracle``), then judges any (accuracy, k) from them.
+flips once (``draw_oracle``), then judges any (accuracy, k) from them. The
+LLM ranker renders prompts and parses replies; a transport carries each
+prompt, over HTTP or from a recorded session.
 """
 
 from __future__ import annotations
@@ -261,59 +263,61 @@ the first item's value is greater, otherwise 0. Output only 0 or 1 in the
 last column, with no other commentary.
 """
 
-# Transport callables take (endpoint_url, headers, payload) and return the
-# model's text reply; swapping the transport is how tests avoid the network.
-Transport = Callable[[str, Mapping[str, str], Mapping[str, object]], str]
+# A transport takes one rendered prompt and returns the model's reply; it alone
+# knows where the prompt goes, so a replayed session and every test avoid the network.
+Transport = Callable[[str], str]
 RETRY_BASE_S, RETRY_CAP_S = 1.0, 30.0  # llm_rank_batch's backoff, in seconds
 TIMEOUT_S = 60.0  # the HTTP transport's limit on one request, in seconds
 
 
 @dataclass(frozen=True)
 class LlmRankerConfig:
-    """Settings for ranking pairs with a chat-completion endpoint.
+    """How pairs are put to an LLM: the prompt and its batches, whatever the transport.
 
-    The API key is read from the environment variable named by
-    ``api_key_env_var`` at request time; it is never accepted as a literal
-    value or read from a file. The prompt template must contain the
-    ``{property_description}``, ``{examples}``, and ``{pairs}`` placeholders.
+    The prompt template must contain the ``{property_description}``,
+    ``{examples}``, and ``{pairs}`` placeholders.
     """
 
-    endpoint_url: str
-    model_name: str
     prompt_template: str = DEFAULT_PROMPT_TEMPLATE
-    api_key_env_var: str = "RANKREFINE_API_KEY"
     property_description: str = "the property of interest"
     examples: str = ""
     batch_size: int = 20
     max_retries: int = 3
 
     def __post_init__(self) -> None:
-        if not self.endpoint_url:
-            raise ValidationError("endpoint_url must be non-empty")
-        if not self.model_name:
-            raise ValidationError("model_name must be non-empty")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_retries < 0:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
-        missing = [p for p in PROMPT_PLACEHOLDERS if p not in self.prompt_template]
-        if missing:
-            raise ValidationError(
-                f"prompt template is missing placeholders: {', '.join(missing)}"
-            )
+        if missing := [p for p in PROMPT_PLACEHOLDERS if p not in self.prompt_template]:
+            raise ValidationError(f"prompt template is missing placeholders: {', '.join(missing)}")
 
 
-def make_http_transport() -> Transport:
-    """Transport that POSTs a chat-completion request over HTTP, waiting ``TIMEOUT_S`` at most."""
+def make_http_transport(
+    endpoint_url: str, model_name: str, api_key_env_var: str = "RANKREFINE_API_KEY"
+) -> Transport:
+    """Transport that POSTs each prompt to a chat-completion endpoint as one user message.
+
+    The API key is read from the environment variable named by
+    ``api_key_env_var`` at request time, and sent as a Bearer token when set;
+    it is never accepted as a literal value or read from a file. Each request
+    waits ``TIMEOUT_S`` at most.
+    """
+    if not endpoint_url:
+        raise ValidationError("endpoint_url must be non-empty")
+    if not model_name:
+        raise ValidationError("model_name must be non-empty")
     import requests  # imported here so only this transport pays its start-up cost
 
-    def transport(url: str, headers: Mapping[str, str], payload: Mapping[str, object]) -> str:
+    def transport(prompt: str) -> str:
+        headers = {"Content-Type": "application/json"}
+        if api_key := os.environ.get(api_key_env_var, ""):
+            headers["Authorization"] = f"Bearer {api_key}"
+        payload = {"model": model_name, "messages": [{"role": "user", "content": prompt}]}
         try:
-            response = requests.post(
-                url, headers=dict(headers), json=dict(payload), timeout=TIMEOUT_S
-            )
+            response = requests.post(endpoint_url, headers=headers, json=payload, timeout=TIMEOUT_S)
         except requests.RequestException as exc:
-            raise TransportError(f"request to {url} failed: {exc}") from exc
+            raise TransportError(f"request to {endpoint_url} failed: {exc}") from exc
         status = response.status_code
         if status in (401, 403):
             raise TransportError(f"authentication failed: HTTP {status}", retryable=False)
@@ -325,7 +329,7 @@ def make_http_transport() -> Transport:
             data = response.json()
             return data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed response body from {url}") from exc
+            raise TransportError(f"malformed response body from {endpoint_url}") from exc
 
     return transport
 
@@ -334,18 +338,16 @@ class ReplayTransport:
     """Transport double that returns recorded responses in submission order.
 
     Used to replay a captured LLM session deterministically (in tests and in
-    the CLI's replay mode). Requests are recorded on ``self.requests`` for
-    inspection.
+    the CLI's replay mode), with no endpoint, model or key. Prompts are
+    recorded on ``self.prompts`` for inspection.
     """
 
     def __init__(self, responses: Sequence[str]):
         self._responses = list(responses)
-        self.requests: list[Mapping[str, object]] = []
+        self.prompts: list[str] = []
 
-    def __call__(
-        self, url: str, headers: Mapping[str, str], payload: Mapping[str, object]
-    ) -> str:
-        self.requests.append(payload)
+    def __call__(self, prompt: str) -> str:
+        self.prompts.append(prompt)
         if not self._responses:
             raise TransportError("replay transport has no responses left", retryable=False)
         return self._responses.pop(0)
@@ -375,16 +377,14 @@ def load_replay_transport(path: str | Path) -> ReplayTransport:
 def render_prompt(config: LlmRankerConfig, pairs: Sequence[tuple[str, str]]) -> str:
     """Fill the prompt template for one batch of text pairs."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for a, b in pairs:
-        writer.writerow([a, b])
-    rendered = config.prompt_template
+    csv.writer(buffer, lineterminator="\n").writerows(pairs)
     # Plain replacement instead of str.format: item texts and user templates
     # may legitimately contain braces.
-    rendered = rendered.replace("{property_description}", config.property_description)
-    rendered = rendered.replace("{examples}", config.examples)
-    rendered = rendered.replace("{pairs}", buffer.getvalue().rstrip("\n"))
-    return rendered
+    return (
+        config.prompt_template.replace("{property_description}", config.property_description)
+        .replace("{examples}", config.examples)
+        .replace("{pairs}", buffer.getvalue().rstrip("\n"))
+    )
 
 
 def parse_ranking_response(content: str) -> dict[tuple[str, str], bool]:
@@ -399,60 +399,41 @@ def parse_ranking_response(content: str) -> dict[tuple[str, str], bool]:
         if len(row) != 3:
             continue
         a, b, flag = (cell.strip() for cell in row)
-        if (a.lower(), b.lower()) == RESPONSE_HEADER[:2]:
-            continue
-        if flag not in ("0", "1"):
-            continue
-        key = (a, b)
-        if key not in parsed:
-            parsed[key] = flag == "1"
+        if flag in ("0", "1") and (a.lower(), b.lower()) != RESPONSE_HEADER[:2]:
+            parsed.setdefault((a, b), flag == "1")
     return parsed
 
 
 def llm_rank_batch(
     pairs: Sequence[tuple[str, str]],
     config: LlmRankerConfig,
-    transport: Transport | None = None,
+    transport: Transport,
     sleep: Callable[[float], None] = time.sleep,
 ) -> dict[int, bool]:
     """Rank text pairs with an LLM, in batches, with per-pair retries.
 
-    Returns pair index -> is_a_greater in index order, so callers match each
-    answer to their own ids by position, whether or not texts repeat. Pairs
-    whose answers cannot be parsed are resubmitted up to
+    Each batch's rendered prompt goes to ``transport``, which returns the
+    reply: ``make_http_transport`` for an endpoint, a ``ReplayTransport`` for
+    a recorded session. Returns pair index -> is_a_greater in index order, so
+    callers match each answer to their own ids by position, whether or not
+    texts repeat. Pairs whose answers cannot be parsed are resubmitted up to
     ``config.max_retries`` more times and then left out with a warning. A
     failed transport call ``sleep``s ``min(RETRY_CAP_S, wait)`` seconds, where
     ``wait`` is its ``retry_after`` (0 too) or else ``RETRY_BASE_S * 2**attempt``;
     failures on the final attempt, or not retryable, propagate.
     """
-    if transport is None:
-        transport = make_http_transport()
     pair_list = [(str(a), str(b)) for a, b in pairs]
-    for a, b in pair_list:
-        if not a or not b:
-            raise ValidationError("pair texts must be non-empty")
+    if not all(a and b for a, b in pair_list):
+        raise ValidationError("pair texts must be non-empty")
     results: dict[int, bool] = {}
     pending = list(range(len(pair_list)))
-
-    api_key = os.environ.get(config.api_key_env_var, "")
-    headers: dict[str, str] = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-
     attempt = 0
     while pending and attempt <= config.max_retries:
         still_pending: list[int] = []
         for start in range(0, len(pending), config.batch_size):
             batch = pending[start : start + config.batch_size]
-            batch_pairs = [pair_list[i] for i in batch]
-            payload: dict[str, object] = {
-                "model": config.model_name,
-                "messages": [
-                    {"role": "user", "content": render_prompt(config, batch_pairs)}
-                ],
-            }
             try:
-                content = transport(config.endpoint_url, headers, payload)
+                content = transport(render_prompt(config, [pair_list[i] for i in batch]))
             except TransportError as exc:
                 if attempt == config.max_retries or not exc.retryable:
                     raise
@@ -471,10 +452,6 @@ def llm_rank_batch(
         attempt += 1
 
     if pending:
-        logger.warning(
-            "%d of %d pairs had no parseable answer after %d attempts; excluding them",
-            len(pending),
-            len(pair_list),
-            config.max_retries + 1,
-        )
+        message = "%d of %d pairs had no parseable answer after %d attempts; excluding them"
+        logger.warning(message, len(pending), len(pair_list), config.max_retries + 1)
     return {i: results[i] for i in sorted(results)}

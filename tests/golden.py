@@ -24,6 +24,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -78,14 +79,17 @@ COMMANDS: dict[str, tuple[str, ...]] = {
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
 
-def run(name: str, tmp: Path) -> dict[str, bytes]:
-    """Run one command in ``tmp``; returns its golden file names and produced bytes."""
+def run(name: str, tmp: Path, argv: Sequence[str] | None = None) -> dict[str, bytes]:
+    """Run one command in ``tmp``; returns its golden file names and produced bytes.
+
+    ``argv``, if given, replaces the command's own arguments; its name still names the files.
+    """
     from rankrefine.cli import main
 
     out = tmp / f"{name}.csv"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main([*COMMANDS[name], "--out", str(out)])
+        code = main([*(COMMANDS[name] if argv is None else argv), "--out", str(out)])
     if code != 0:
         raise RuntimeError(f"{name}: rankrefine exited {code}")
     printed = stdout.getvalue().replace(str(tmp), "<tmp>")

@@ -273,11 +273,7 @@ class TestCriterion8LlmPathway:
 
     def test_replay_bit_exact_and_simulated_ranker_improves(self, dataset, seed_contexts):
         pairs = [(a, b) for a, b, _ in self.EXPECTED]
-        config = LlmRankerConfig(
-            endpoint_url="https://example.invalid/v1/chat/completions",
-            model_name="solubility-ranker",
-            property_description="aqueous solubility",
-        )
+        config = LlmRankerConfig(property_description="aqueous solubility")
         answers = llm_rank_batch(
             pairs, config, transport=load_replay_transport(REPLAY_FIXTURE)
         )

@@ -530,7 +530,7 @@ class TestRankLlmReplay:
         assert code == 2
         assert "k must be >= 0" in capsys.readouterr().err
         assert not out.exists()
-        assert not any(t.requests for t in transports)
+        assert not any(t.prompts for t in transports)
 
     def test_replay_scores_pra_against_truth(self, tmp_path, capsys):
         queries, references, truth = self._inputs(tmp_path)
@@ -618,6 +618,27 @@ class TestRankLlmReplay:
         ])
         assert code == 5
         assert "RANKREFINE_API_KEY" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "m"], "endpoint_url must be non-empty"),
+            (["--endpoint", "https://example.invalid"], "model_name must be non-empty"),
+        ],
+        ids=["no endpoint", "no model"],
+    )
+    def test_live_mode_requires_endpoint_and_model(
+        self, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        # Checked before the key, so an unset key does not hide the missing flag.
+        queries, references, _ = self._inputs(tmp_path)
+        monkeypatch.delenv("RANKREFINE_API_KEY", raising=False)
+        code = main([
+            "rank", "--source", "llm", "--queries", queries, "--references", references,
+            *flags, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_text_column_is_data_error(self, tmp_path, capsys):
         queries = _write(tmp_path / "queries.csv", "id,y\nq1,1.0\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from golden import COMMANDS, GOLDEN, PROVENANCE, describe_difference, provenance, run
+from golden import COMMANDS, GOLDEN, LLM, PROVENANCE, describe_difference, provenance, run
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
@@ -19,3 +19,11 @@ def test_output_matches_golden(name, tmp_path):
     assert not problems, "\n".join(
         [*problems, f"goldens made with:\n{PROVENANCE.read_text()}now running:\n{provenance()}"]
     )
+
+
+def test_llm_replay_reads_no_endpoint_or_model(tmp_path):
+    """A replayed session goes to no endpoint, so it needs neither --endpoint nor --model."""
+    argv = [arg for arg in COMMANDS["rank-llm"] if arg not in LLM]
+    assert "--endpoint" not in argv and "--model" not in argv
+    for file, produced in run("rank-llm", tmp_path, argv).items():
+        assert produced == (GOLDEN / file).read_bytes(), file

@@ -323,13 +323,23 @@ def _response(rows):
 
 
 def _config(**overrides):
-    base = dict(
-        endpoint_url="https://example.invalid/v1/chat/completions",
-        model_name="test-model",
-        property_description="aqueous solubility",
-    )
-    base.update(overrides)
-    return LlmRankerConfig(**base)
+    return LlmRankerConfig(**{"property_description": "aqueous solubility", **overrides})
+
+
+def _transport(*replies):
+    """A transport that records each prompt on ``.prompts`` and gives the next
+    reply: a string is returned, an exception raised."""
+    prompts = []
+
+    def transport(prompt):
+        prompts.append(prompt)
+        reply = replies[len(prompts) - 1]
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    transport.prompts = prompts
+    return transport
 
 
 class TestPromptRendering:
@@ -384,7 +394,7 @@ class TestLlmRankBatch:
         )
         answers = llm_rank_batch(pairs, _config(), transport=transport)
         assert answers == {0: True, 1: False}
-        assert len(transport.requests) == 1
+        assert len(transport.prompts) == 1
 
     def test_batching_respects_batch_size(self):
         pairs = [(f"a{i}", f"b{i}") for i in range(5)]
@@ -392,7 +402,7 @@ class TestLlmRankBatch:
         transport = ReplayTransport(responses)
         outcomes = llm_rank_batch(pairs, _config(batch_size=1), transport=transport)
         assert len(outcomes) == 5
-        assert len(transport.requests) == 5
+        assert len(transport.prompts) == 5
 
     def test_missing_answer_retried_then_recovered(self):
         pairs = [("a", "b"), ("c", "d")]
@@ -404,7 +414,7 @@ class TestLlmRankBatch:
         )
         answers = llm_rank_batch(pairs, _config(), transport=transport)
         assert answers == {0: True, 1: False}
-        assert len(transport.requests) == 2
+        assert len(transport.prompts) == 2
 
     def test_unanswerable_pair_excluded_with_warning(self, caplog):
         pairs = [("a", "b"), ("c", "d")]
@@ -416,33 +426,21 @@ class TestLlmRankBatch:
         assert any("excluding" in (r.getMessage()) for r in caplog.records)
 
     def test_transport_error_retried_then_raised_on_final_attempt(self):
-        calls = {"n": 0}
         slept = []
-
-        def flaky(url, headers, payload):
-            calls["n"] += 1
-            raise TransportError("boom")
-
+        flaky = _transport(*[TransportError("boom")] * 3)
         with pytest.raises(TransportError):
             llm_rank_batch(
                 [("a", "b")], _config(max_retries=2), transport=flaky, sleep=slept.append
             )
-        assert calls["n"] == 3  # initial attempt plus two retries
+        assert len(flaky.prompts) == 3  # initial attempt plus two retries
         assert slept == [1.0, 2.0]  # backs off before each retry, not after the last
 
     def test_transport_error_recovery_before_final_attempt(self):
-        state = {"n": 0}
         slept = []
-
-        def flaky(url, headers, payload):
-            state["n"] += 1
-            if state["n"] == 1:
-                raise TransportError("first call drops")
-            return _response([("a", "b", True)])
-
+        flaky = _transport(TransportError("first call drops"), _response([("a", "b", True)]))
         answers = llm_rank_batch([("a", "b")], _config(), transport=flaky, sleep=slept.append)
         assert answers == {0: True}
-        assert state["n"] == 2
+        assert len(flaky.prompts) == 2
         assert slept == [1.0]
 
     @pytest.mark.parametrize(
@@ -456,15 +454,9 @@ class TestLlmRankBatch:
         ids=["exponential", "asked", "capped", "asked zero"],
     )
     def test_backoff_honours_retry_after_within_the_cap(self, retry_after, expected):
-        state = {"n": 0}
         slept = []
-
-        def limited(url, headers, payload):
-            state["n"] += 1
-            if state["n"] <= 6:
-                raise TransportError("HTTP 429", retry_after=retry_after)
-            return _response([("a", "b", True)])
-
+        refusals = [TransportError("HTTP 429", retry_after=retry_after)] * 6
+        limited = _transport(*refusals, _response([("a", "b", True)]))
         config = _config(max_retries=6)
         answers = llm_rank_batch([("a", "b")], config, transport=limited, sleep=slept.append)
         assert answers == {0: True}
@@ -478,16 +470,11 @@ class TestLlmRankBatch:
         assert slept == []
 
     def test_not_retryable_error_raises_at_once(self):
-        calls = {"n": 0}
         slept = []
-
-        def refused(url, headers, payload):
-            calls["n"] += 1
-            raise TransportError("authentication failed: HTTP 401", retryable=False)
-
+        refused = _transport(TransportError("authentication failed: HTTP 401", retryable=False))
         with pytest.raises(TransportError, match="authentication"):
             llm_rank_batch([("a", "b")], _config(), transport=refused, sleep=slept.append)
-        assert calls["n"] == 1
+        assert len(refused.prompts) == 1
         assert slept == []
 
     def test_exhausted_replay_raises_without_backoff(self):
@@ -498,36 +485,6 @@ class TestLlmRankBatch:
                 [("a", "b")], _config(), transport=ReplayTransport([]), sleep=calls.append
             )
         assert calls == []
-
-    def test_api_key_read_from_named_env_var(self, monkeypatch):
-        seen = {}
-
-        def capture(url, headers, payload):
-            seen.update(headers)
-            return _response([("a", "b", True)])
-
-        monkeypatch.setenv("RANKREFINE_API_KEY", "sk-test-123")
-        llm_rank_batch([("a", "b")], _config(), transport=capture)
-        assert seen.get("Authorization") == "Bearer sk-test-123"
-
-    def test_no_auth_header_without_key(self, monkeypatch):
-        seen = {}
-
-        def capture(url, headers, payload):
-            seen.update(headers)
-            return _response([("a", "b", True)])
-
-        monkeypatch.delenv("RANKREFINE_API_KEY", raising=False)
-        llm_rank_batch([("a", "b")], _config(), transport=capture)
-        assert "Authorization" not in seen
-
-    def test_payload_carries_model_and_prompt(self):
-        transport = ReplayTransport([_response([("a", "b", True)])])
-        llm_rank_batch([("a", "b")], _config(), transport=transport)
-        payload = transport.requests[0]
-        assert payload["model"] == "test-model"
-        content = payload["messages"][0]["content"]
-        assert "a,b" in content
 
     def test_empty_pair_text_rejected(self):
         with pytest.raises(ValidationError):
@@ -547,19 +504,81 @@ class _FakeResponse:
         return self._body
 
 
+def _http():
+    return make_http_transport("https://x.invalid", "test-model")
+
+
 class TestHttpTransport:
+    @staticmethod
+    def _capture(monkeypatch):
+        """Patch requests.post to record each request and answer (a, b) with 1."""
+        sent = []
+
+        def post(url, **request):
+            sent.append({"url": url, **request})
+            return _FakeResponse(200, {"choices": [{"message": {"content": "a,b,1"}}]})
+
+        monkeypatch.setattr(requests, "post", post)
+        return sent
+
+    def test_api_key_read_from_named_env_var(self, monkeypatch):
+        sent = self._capture(monkeypatch)
+        monkeypatch.setenv("RANKREFINE_API_KEY", "sk-test-123")
+        llm_rank_batch([("a", "b")], _config(), transport=_http())
+        assert sent[0]["headers"] == {
+            "Content-Type": "application/json",
+            "Authorization": "Bearer sk-test-123",
+        }
+
+    def test_api_key_read_at_request_time_from_the_named_variable(self, monkeypatch):
+        sent = self._capture(monkeypatch)
+        monkeypatch.delenv("RANKREFINE_API_KEY", raising=False)
+        transport = make_http_transport("https://x.invalid", "m", api_key_env_var="OTHER_KEY")
+        monkeypatch.setenv("OTHER_KEY", "sk-other")
+        transport("p")
+        assert sent[0]["headers"]["Authorization"] == "Bearer sk-other"
+
+    def test_no_auth_header_without_key(self, monkeypatch):
+        sent = self._capture(monkeypatch)
+        monkeypatch.delenv("RANKREFINE_API_KEY", raising=False)
+        llm_rank_batch([("a", "b")], _config(), transport=_http())
+        assert sent[0]["headers"] == {"Content-Type": "application/json"}
+
+    def test_payload_carries_model_and_prompt(self, monkeypatch):
+        sent = self._capture(monkeypatch)
+        monkeypatch.delenv("RANKREFINE_API_KEY", raising=False)
+        llm_rank_batch([("a", "b")], _config(), transport=_http())
+        prompt = render_prompt(_config(), [("a", "b")])
+        assert "a,b" in prompt
+        assert sent == [
+            {
+                "url": "https://x.invalid",
+                "headers": {"Content-Type": "application/json"},
+                "json": {"model": "test-model", "messages": [{"role": "user", "content": prompt}]},
+                "timeout": TIMEOUT_S,
+            }
+        ]
+
+    @pytest.mark.parametrize(
+        "endpoint_url, model_name, message",
+        [("", "m", "endpoint_url must be non-empty"), ("u", "", "model_name must be non-empty")],
+        ids=["endpoint", "model"],
+    )
+    def test_endpoint_and_model_must_be_non_empty(self, endpoint_url, model_name, message):
+        with pytest.raises(ValidationError, match=message):
+            make_http_transport(endpoint_url, model_name)
+
     def test_returns_message_content(self, monkeypatch):
         body = {"choices": [{"message": {"content": "the reply"}}]}
         monkeypatch.setattr(
             requests, "post", lambda *a, **k: _FakeResponse(200, body)
         )
-        transport = make_http_transport()
-        assert transport("https://x.invalid", {}, {}) == "the reply"
+        assert _http()("a prompt") == "the reply"
 
     def test_auth_failure(self, monkeypatch):
         monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(401))
         with pytest.raises(TransportError, match="authentication"):
-            make_http_transport()("https://x.invalid", {}, {})
+            _http()("a prompt")
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_failure_is_not_retried(self, monkeypatch, status):
@@ -573,7 +592,7 @@ class TestHttpTransport:
         slept = []
         with pytest.raises(TransportError, match="authentication") as info:
             llm_rank_batch(
-                [("a", "b")], _config(), transport=make_http_transport(), sleep=slept.append
+                [("a", "b")], _config(), transport=_http(), sleep=slept.append
             )
         assert (info.value.retryable, info.value.retry_after) == (False, None)
         assert calls == [status]
@@ -596,14 +615,14 @@ class TestHttpTransport:
             requests, "post", lambda *a, **k: _FakeResponse(status, headers=headers)
         )
         with pytest.raises(TransportError, match=str(status)) as info:
-            make_http_transport()("https://x.invalid", {}, {})
+            _http()("a prompt")
         assert info.value.retry_after == expected
         assert info.value.retryable
 
     def test_server_error(self, monkeypatch):
         monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(503))
         with pytest.raises(TransportError, match="503"):
-            make_http_transport()("https://x.invalid", {}, {})
+            _http()("a prompt")
 
     def test_connection_error(self, monkeypatch):
         def boom(*a, **k):
@@ -611,12 +630,12 @@ class TestHttpTransport:
 
         monkeypatch.setattr(requests, "post", boom)
         with pytest.raises(TransportError, match="failed"):
-            make_http_transport()("https://x.invalid", {}, {})
+            _http()("a prompt")
 
     def test_malformed_body(self, monkeypatch):
         monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(200, None))
         with pytest.raises(TransportError, match="malformed"):
-            make_http_transport()("https://x.invalid", {}, {})
+            _http()("a prompt")
 
     def test_timeout_forwarded(self, monkeypatch):
         seen = {}
@@ -626,28 +645,29 @@ class TestHttpTransport:
             return _FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
 
         monkeypatch.setattr(requests, "post", capture)
-        make_http_transport()("https://x.invalid", {}, {})
+        _http()("a prompt")
         assert seen["timeout"] == TIMEOUT_S
 
 
 class TestReplayTransport:
     def test_exhausted_raises(self):
         transport = ReplayTransport(["only one"])
-        transport("u", {}, {})
+        transport("p")
         with pytest.raises(TransportError):
-            transport("u", {}, {})
+            transport("p")
 
     def test_load_from_list_file(self, tmp_path):
         path = tmp_path / "replay.json"
         path.write_text(json.dumps(["r1", "r2"]))
         transport = load_replay_transport(path)
-        assert transport("u", {}, {}) == "r1"
-        assert transport("u", {}, {}) == "r2"
+        assert transport("p1") == "r1"
+        assert transport("p2") == "r2"
+        assert transport.prompts == ["p1", "p2"]
 
     def test_load_from_object_file(self, tmp_path):
         path = tmp_path / "replay.json"
         path.write_text(json.dumps({"responses": ["r1"]}))
-        assert load_replay_transport(path)("u", {}, {}) == "r1"
+        assert load_replay_transport(path)("p") == "r1"
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "replay.json"

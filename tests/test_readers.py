@@ -21,6 +21,10 @@ LOADERS = {
 LONG = "1" * 131_073
 NOT_UTF8 = ["cannot read", "can't decode byte 0xe9"]
 TOO_LONG = ["row 2: cannot read", "field larger than field limit"]
+# An undecodable byte at offset 20,000 of a file that starts with a byte-order mark: far
+# past the first chunk a text stream decodes, which counts positions from its own start.
+_ROWS = codecs.BOM_UTF8 + b"id,y\n" + b"".join(b"r%05d,1.0\n" % i for i in range(3000))
+FAR_BAD_BYTE = _ROWS[:20_000] + b"\xe9" + _ROWS[20_001:]
 
 # (format, case, file content, fragments the message must contain besides the path);
 # bytes content is written as it stands.
@@ -48,8 +52,9 @@ CASES = [
     ("references", "duplicate id", "id,y\nr1,1.0\nr2,2.0\nr1,3.0\n", ["row 4", "'id'"]),
     ("references", "empty id", "id,y\n,1.0\n", ["row 2", "column 'id': empty id"]),
     ("references", "non-UTF-8", b"id,y\nr\xe91,1.0\n", NOT_UTF8),
-    # An unclosed quote runs its cell on through the rest of the file.
-    ("references", "over-long cell", 'id,y\n"r1,1.0\n' + "r2,2.0\n" * 20_000, TOO_LONG[1:]),
+    ("references", "non-UTF-8 far in", FAR_BAD_BYTE, ["can't decode byte 0xe9 in position 20000:"]),
+    # An unclosed quote runs its cell on through the rest of the file; the row is where it opened.
+    ("references", "over-long cell", 'id,y\n"r1,1.0\n' + "r2,2.0\n" * 20_000, TOO_LONG),
     ("dataset", "empty", "", ["empty file"]),
     ("dataset", "missing column", "id,x0\na,0.5\n", ["'y'"]),
     ("dataset", "short row", "id,x0,y\na,0.5,1.0\nb,0.5\n", ["row 3"]),
